@@ -1,6 +1,7 @@
 #include "apps/tomcatv.hh"
 
 #include <cmath>
+#include <vector>
 
 namespace wavepipe {
 
@@ -57,15 +58,32 @@ void Tomcatv::init() {
   // one, so residuals demonstrably shrink. The distortion is
   // high-frequency (near-Nyquist oscillation per cell): line relaxation
   // damps rough modes fast, which keeps short convergence tests meaningful.
+  //
+  //   x(i,j) = j + 0.25 * sin(2.7 i) * sin(2.9 j)
+  //   y(i,j) = i + 0.25 * cos(2.6 i) * sin(2.8 j)
+  //
+  // Each factor depends on one coordinate only, so it is tabulated once
+  // per row or column; the products keep the formula's association.
+  const Region<2> all = x_.region();
+  auto table = [&all](Rank d, auto f) {
+    std::vector<Real> t;
+    for (Coord k = all.lo(d); k <= all.hi(d); ++k)
+      t.push_back(f(static_cast<Real>(k)));
+    return t;
+  };
+  const auto sin_i = table(0, [](Real fi) { return std::sin(2.7 * fi); });
+  const auto cos_i = table(0, [](Real fi) { return std::cos(2.6 * fi); });
+  const auto sin_j_x = table(1, [](Real fj) { return std::sin(2.9 * fj); });
+  const auto sin_j_y = table(1, [](Real fj) { return std::sin(2.8 * fj); });
   x_.fill_fn([&](const Idx<2>& i) {
-    const Real fi = static_cast<Real>(i.v[0]);
-    const Real fj = static_cast<Real>(i.v[1]);
-    return fj + 0.25 * std::sin(2.7 * fi) * std::sin(2.9 * fj);
+    const std::size_t ri = static_cast<std::size_t>(i.v[0] - all.lo(0));
+    const std::size_t cj = static_cast<std::size_t>(i.v[1] - all.lo(1));
+    return static_cast<Real>(i.v[1]) + 0.25 * sin_i[ri] * sin_j_x[cj];
   });
   y_.fill_fn([&](const Idx<2>& i) {
-    const Real fi = static_cast<Real>(i.v[0]);
-    const Real fj = static_cast<Real>(i.v[1]);
-    return fi + 0.25 * std::cos(2.6 * fi) * std::sin(2.8 * fj);
+    const std::size_t ri = static_cast<std::size_t>(i.v[0] - all.lo(0));
+    const std::size_t cj = static_cast<std::size_t>(i.v[1] - all.lo(1));
+    return static_cast<Real>(i.v[0]) + 0.25 * cos_i[ri] * sin_j_y[cj];
   });
   rx_.fill(0.0);
   ry_.fill(0.0);

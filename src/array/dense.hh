@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "index/region.hh"
+#include "index/pencil.hh"
 
 namespace wavepipe {
 
@@ -79,17 +79,42 @@ class DenseArray {
 
   void fill(T v) { data_.assign(data_.size(), v); }
 
-  /// Fills from a function of the global index.
+  /// Storage-order loops: the contiguous dimension innermost, all
+  /// ascending. Loops whose result does not depend on visit order walk
+  /// pencils in this order.
+  LoopStructure<R> storage_loops() const {
+    return ascending_loops<R>(contiguous_dim(order_, R));
+  }
+
+  /// Calls `fn(i, element)` for every index of `where` (which must lie in
+  /// the array) in storage order, one pointer walk per pencil.
+  template <typename Fn>
+  void for_each_element(const Region<R>& where, Fn&& fn) {
+    walk_elements(*this, where, fn);
+  }
+  template <typename Fn>
+  void for_each_element(const Region<R>& where, Fn&& fn) const {
+    walk_elements(*this, where, fn);
+  }
+
+  /// Fills from a function of the global index. The visit order is storage
+  /// order, so `fn` must not depend on it.
   template <typename Fn>
   void fill_fn(Fn&& fn) {
-    for_each(region_, [&](const Idx<R>& i) { (*this)(i) = fn(i); });
+    for_each_element(region_, [&](const Idx<R>& i, T& x) { x = fn(i); });
   }
 
   /// Copies the values of `src` on `where` (must be contained in both).
   void copy_from(const DenseArray& src, const Region<R>& where) {
     require(region_.contains(where) && src.region().contains(where),
             "copy_from region must be contained in both arrays");
-    for_each(where, [&](const Idx<R>& i) { (*this)(i) = src(i); });
+    iterate_pencils(where, storage_loops(),
+                    [&](const Idx<R>& i, Rank inner, Coord, Coord n) {
+                      T* d = &(*this)(i);
+                      const T* s = &src(i);
+                      const Coord ss = src.stride(inner);
+                      for (Coord k = 0; k < n; ++k) d[k] = s[k * ss];
+                    });
   }
 
   std::vector<T>& raw() { return data_; }
@@ -104,6 +129,16 @@ class DenseArray {
   }
 
  private:
+  template <typename Self, typename Fn>
+  static void walk_elements(Self& self, const Region<R>& where, Fn& fn) {
+    iterate_pencils(where, self.storage_loops(),
+                    [&](Idx<R> i, Rank inner, Coord, Coord n) {
+                      auto* p = &self(i);  // contiguous along `inner`
+                      for (Coord k = 0; k < n; ++k, ++i.v[inner])
+                        fn(std::as_const(i), p[k]);
+                    });
+  }
+
   void compute_strides() {
     if (order_ == StorageOrder::kRowMajor) {
       stride_[R - 1] = 1;
@@ -127,11 +162,19 @@ class DenseArray {
 template <typename T, Rank R>
 T max_abs_difference(const DenseArray<T, R>& a, const DenseArray<T, R>& b) {
   require(a.region() == b.region(), "arrays must cover the same region");
+  // A strict max from T{} does not depend on visit order: storage order.
   T m = T{};
-  for_each(a.region(), [&](const Idx<R>& i) {
-    const T d = a(i) < b(i) ? b(i) - a(i) : a(i) - b(i);
-    if (d > m) m = d;
-  });
+  iterate_pencils(a.region(), a.storage_loops(),
+                  [&](const Idx<R>& i, Rank inner, Coord, Coord n) {
+                    const T* pa = &a(i);
+                    const T* pb = &b(i);
+                    const Coord sb = b.stride(inner);
+                    for (Coord k = 0; k < n; ++k) {
+                      const T x = pa[k], y = pb[k * sb];
+                      const T d = x < y ? y - x : x - y;
+                      if (d > m) m = d;
+                    }
+                  });
   return m;
 }
 

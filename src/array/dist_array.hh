@@ -45,7 +45,8 @@ class DistArray {
   /// left untouched; use ghost exchange or boundary fills for that).
   template <typename Fn>
   void fill_owned(Fn&& fn) {
-    for_each(owned_, [&](const Idx<R>& i) { local_(i) = fn(i); });
+    local_.for_each_element(owned_,
+                            [&](const Idx<R>& i, T& x) { x = fn(i); });
   }
 
   /// Fills any allocated cells lying outside the global region (physical
@@ -53,8 +54,8 @@ class DistArray {
   template <typename Fn>
   void fill_exterior(Fn&& fn) {
     const Region<R> global = layout_.global();
-    for_each(local_.region(), [&](const Idx<R>& i) {
-      if (!global.contains(i)) local_(i) = fn(i);
+    local_.for_each_element(local_.region(), [&](const Idx<R>& i, T& x) {
+      if (!global.contains(i)) x = fn(i);
     });
   }
 

@@ -83,19 +83,22 @@ void apply_distributed_all(const Region<R>& region,
 }
 
 /// Global max |a(i)| over each rank's portion of `region`. Collective.
+/// A strict max from 0 does not depend on visit order: storage order.
 template <Rank R>
 Real global_max_abs(const DenseArray<Real, R>& a, const Region<R>& region,
                     const Layout<R>& layout, Communicator& comm) {
   const Region<R> local = region.intersect(layout.owned(comm.rank()));
   Real m = 0;
-  for_each(local, [&](const Idx<R>& i) {
-    const Real v = a(i) < 0 ? -a(i) : a(i);
+  a.for_each_element(local, [&](const Idx<R>&, Real x) {
+    const Real v = x < 0 ? -x : x;
     if (v > m) m = v;
   });
   return comm.allreduce_max(m);
 }
 
-/// Global sum of a(i) over `region`. Collective.
+/// Global sum of a(i) over `region`. Collective. Floating-point addition
+/// does not reassociate, so this keeps for_each's canonical order (last
+/// dimension innermost): the sum every engine and test pins.
 template <Rank R>
 Real global_sum(const DenseArray<Real, R>& a, const Region<R>& region,
                 const Layout<R>& layout, Communicator& comm) {

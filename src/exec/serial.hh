@@ -7,49 +7,6 @@
 
 namespace wavepipe {
 
-/// Calls `fn(start, inner, step, count)` for every pencil of `region` under
-/// the loop structure: `inner` is the innermost dimension, pencils iterate
-/// it `count` times with stride `step`; outer dimensions advance in the
-/// structure's order and directions.
-template <Rank R, typename Fn>
-void iterate_pencils(const Region<R>& region, const LoopStructure<R>& ls,
-                     Fn&& fn) {
-  if (region.empty()) return;
-  const Rank inner = ls.order[R - 1];
-  const Coord count = region.extent(inner);
-  const Coord istep = ls.step[inner];
-
-  Idx<R> idx{};
-  for (Rank d = 0; d < R; ++d)
-    idx.v[d] = ls.step[d] > 0 ? region.lo(d) : region.hi(d);
-
-  if constexpr (R == 1) {
-    fn(idx, inner, istep, count);
-    return;
-  }
-
-  while (true) {
-    fn(idx, inner, istep, count);
-    // Advance the outer levels, innermost outer level first.
-    Rank level = R - 1;
-    bool done = false;
-    while (true) {
-      if (level == 0) {
-        done = true;
-        break;
-      }
-      --level;
-      const Rank d = ls.order[level];
-      idx.v[d] += ls.step[d];
-      const bool inside = ls.step[d] > 0 ? idx.v[d] <= region.hi(d)
-                                         : idx.v[d] >= region.lo(d);
-      if (inside) break;
-      idx.v[d] = ls.step[d] > 0 ? region.lo(d) : region.hi(d);
-    }
-    if (done) break;
-  }
-}
-
 /// Checks that every array of the plan covers the index sets its accesses
 /// read/write over `region`. Throws ContractError on under-allocation.
 template <Rank R>
@@ -113,47 +70,26 @@ void apply_statement(const Region<E::rank>& region,
 
   // A parallel statement has no dependences, so iterate in storage order
   // (contiguous dimension innermost) — what any competent compiler emits.
-  LoopStructure<R> ls;
-  {
-    const Rank inner = contiguous_dim(spec.lhs->order(), R);
-    Rank level = 0;
-    for (Rank d = 0; d < R; ++d) {
-      if (d == inner) continue;
-      ls.order[level++] = d;
-    }
-    ls.order[R - 1] = inner;
-    for (Rank d = 0; d < R; ++d) ls.step[d] = +1;
-  }
-
-  DenseArray<Real, R>* lhs = spec.lhs;
-  const E& expr = spec.expr;
+  const LoopStructure<R> ls = spec.lhs->storage_loops();
   if (!needs_temp) {
     iterate_pencils(region, ls,
-                    [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                      for (Coord k = 0; k < count; ++k) {
-                        (*lhs)(i) = expr.eval(i);
-                        i.v[inner] += step;
-                      }
+                    [&](const Idx<R>& i, Rank inner, Coord step, Coord count) {
+                      run_pencil(count, spec.bind(i, inner, step));
                     });
     return;
   }
   std::vector<Real> tmp(static_cast<std::size_t>(region.size()));
-  std::size_t pos = 0;
+  Real* pos = tmp.data();
   iterate_pencils(region, ls,
-                  [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                    for (Coord k = 0; k < count; ++k) {
-                      tmp[pos++] = expr.eval(i);
-                      i.v[inner] += step;
-                    }
+                  [&](const Idx<R>& i, Rank inner, Coord step, Coord count) {
+                    const auto rhs = spec.expr.bind(i, inner, step);
+                    for (Coord k = 0; k < count; ++k)
+                      pos[k] = rhs(k, kNothingStored);
+                    pos += count;
                   });
-  pos = 0;
-  iterate_pencils(region, ls,
-                  [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                    for (Coord k = 0; k < count; ++k) {
-                      (*lhs)(i) = tmp[pos++];
-                      i.v[inner] += step;
-                    }
-                  });
+  pos = tmp.data();  // the same storage order again
+  spec.lhs->for_each_element(region,
+                             [&](const Idx<R>&, Real& x) { x = *pos++; });
 }
 
 /// Applies several statements in order, each with array semantics.

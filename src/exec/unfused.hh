@@ -21,17 +21,6 @@
 
 namespace wavepipe {
 
-/// Canonical (declaration-order, ascending) loop structure.
-template <Rank R>
-LoopStructure<R> canonical_loops() {
-  LoopStructure<R> ls;
-  for (Rank d = 0; d < R; ++d) {
-    ls.order[d] = d;
-    ls.step[d] = +1;
-  }
-  return ls;
-}
-
 /// Runs the plan with array-language (unfused, temporary-per-statement)
 /// semantics. Results are identical to run_serial(); only the execution
 /// schedule differs.
@@ -92,7 +81,7 @@ void run_unfused(const WavefrontPlan<R>& plan) {
     }
   }
 
-  const LoopStructure<R> canon = canonical_loops<R>();
+  const LoopStructure<R> canon = ascending_loops<R>(R - 1);  // canonical
   std::vector<Real> tmp;
   for (const Region<R>& slice : slices) {
     for (const auto& st : plan.statements) {
@@ -108,11 +97,11 @@ void run_unfused(const WavefrontPlan<R>& plan) {
       pos = 0;
       DenseArray<Real, R>* lhs = st.lhs;
       iterate_pencils(slice, canon,
-                      [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                        for (Coord k = 0; k < count; ++k) {
-                          (*lhs)(i) = tmp[pos++];
-                          i.v[inner] += step;
-                        }
+                      [&](const Idx<R>& i, Rank inner, Coord step, Coord count) {
+                        Real* out = &(*lhs)(i);
+                        const Coord stride = step * lhs->stride(inner);
+                        for (Coord k = 0; k < count; ++k)
+                          out[k * stride] = tmp[pos++];
                       });
     }
   }

@@ -127,9 +127,12 @@ class Region {
   Idx<R> hi_;
 };
 
-/// Calls `fn(idx)` for every index of `r` in canonical order (dimension 0
-/// outermost, ascending). Executors that need derived loop orders iterate
-/// explicitly instead.
+/// Calls `fn(idx)` for every index of `r` in canonical order: every
+/// dimension ascending, dimension 0 outermost and the last dimension
+/// innermost. On column-major arrays each step of that order jumps a whole
+/// column; loops whose result does not depend on visit order walk storage
+/// order instead (DenseArray::for_each_element), and executors that need
+/// derived loop orders walk pencils (index/pencil.hh).
 template <Rank R, typename Fn>
 void for_each(const Region<R>& r, Fn&& fn) {
   if (r.empty()) return;

@@ -13,14 +13,33 @@
 // unshifted references. Expressions record every access's (array,
 // direction, primed) triple, from which scan blocks derive wavefront
 // summary vectors, legality, and loop structure.
+//
+// Every node evaluates two ways. eval(i) resolves one global index — the
+// per-index reference. bind(start, inner, step) resolves the node once per
+// pencil to a Cursor c, and c(k, stored) is the node's value at
+// start + k*step along dimension `inner`: an array reference becomes a
+// base pointer plus a stride, and interior nodes compose their children's
+// cursors. Along a recurrence, the fused pencil passes in `stored` the
+// values the earlier statements just stored at the same index, and a
+// reference linked to one of those stores takes the value from there
+// instead of reloading it. Both ways apply the same operations in the same
+// order, so they agree bit for bit.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <type_traits>
+#include <utility>
 
 #include "lang/access.hh"
 
 namespace wavepipe {
+
+/// The values the statements before the current one stored at the current
+/// pencil index, in statement order (none outside a fused pencil).
+template <std::size_t J>
+using Stored = std::array<Real, J>;
+inline constexpr Stored<0> kNothingStored{};
 
 // ---------------------------------------------------------------------------
 // Leaf nodes
@@ -47,6 +66,37 @@ class ArrayRef {
 
   Real eval(const Idx<R>& i) const { return (*a_)(i + dir_); }
 
+  struct Cursor {
+    const Real* base;
+    Coord stride;
+    /// The earlier statement whose store at the same index this reads, or
+    /// -1 (read memory).
+    int from = -1;
+
+    template <std::size_t J>
+    Real operator()(Coord k, const Stored<J>& stored) const {
+      if constexpr (J > 0)
+        if (from >= 0) return pick(stored, std::make_index_sequence<J>{});
+      return base[k * stride];
+    }
+    /// Called for each earlier statement in order, so the last one storing
+    /// to this location wins.
+    void link(const Real* out, Coord out_stride, int statement) {
+      if (base == out && stride == out_stride) from = statement;
+    }
+
+    /// stored[from], indexed by constants so the values stay in registers.
+    template <std::size_t J, std::size_t... I>
+    Real pick(const Stored<J>& stored, std::index_sequence<I...>) const {
+      Real x = stored[0];
+      ((from == static_cast<int>(I) ? (void)(x = stored[I]) : (void)0), ...);
+      return x;
+    }
+  };
+  Cursor bind(const Idx<R>& start, Rank inner, Coord step) const {
+    return {&(*a_)(start + dir_), step * a_->stride(inner)};
+  }
+
   void collect(std::vector<Access<R>>& out) const {
     out.push_back(Access<R>{a_, dir_, primed_});
   }
@@ -64,6 +114,15 @@ class ScalarExpr {
   static constexpr Rank rank = R;
   explicit ScalarExpr(Real v) : v_(v) {}
   Real eval(const Idx<R>&) const { return v_; }
+
+  struct Cursor {
+    Real v;
+    template <std::size_t J>
+    Real operator()(Coord, const Stored<J>&) const { return v; }
+    void link(const Real*, Coord, int) {}
+  };
+  Cursor bind(const Idx<R>&, Rank, Coord) const { return {v_}; }
+
   void collect(std::vector<Access<R>>&) const {}
 
  private:
@@ -150,6 +209,22 @@ class BinExpr {
 
   Real eval(const Idx<rank>& i) const { return Op::apply(l_.eval(i), r_.eval(i)); }
 
+  struct Cursor {
+    typename L::Cursor l;
+    typename Rt::Cursor r;
+    template <std::size_t J>
+    Real operator()(Coord k, const Stored<J>& s) const {
+      return Op::apply(l(k, s), r(k, s));
+    }
+    void link(const Real* out, Coord stride, int statement) {
+      l.link(out, stride, statement);
+      r.link(out, stride, statement);
+    }
+  };
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
+    return {l_.bind(start, inner, step), r_.bind(start, inner, step)};
+  }
+
   void collect(std::vector<Access<rank>>& out) const {
     l_.collect(out);
     r_.collect(out);
@@ -168,6 +243,20 @@ class UnExpr {
   explicit UnExpr(E e) : e_(std::move(e)) {}
 
   Real eval(const Idx<rank>& i) const { return Op::apply(e_.eval(i)); }
+
+  struct Cursor {
+    typename E::Cursor e;
+    template <std::size_t J>
+    Real operator()(Coord k, const Stored<J>& s) const {
+      return Op::apply(e(k, s));
+    }
+    void link(const Real* out, Coord stride, int statement) {
+      e.link(out, stride, statement);
+    }
+  };
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
+    return {e_.bind(start, inner, step)};
+  }
 
   void collect(std::vector<Access<rank>>& out) const { e_.collect(out); }
 
@@ -267,6 +356,25 @@ class SelectExpr {
 
   Real eval(const Idx<rank>& i) const {
     return c_.eval(i) > 0.0 ? l_.eval(i) : r_.eval(i);
+  }
+
+  struct Cursor {
+    typename C::Cursor c;
+    typename L::Cursor l;
+    typename Rt::Cursor r;
+    template <std::size_t J>
+    Real operator()(Coord k, const Stored<J>& s) const {
+      return c(k, s) > 0.0 ? l(k, s) : r(k, s);
+    }
+    void link(const Real* out, Coord stride, int statement) {
+      c.link(out, stride, statement);
+      l.link(out, stride, statement);
+      r.link(out, stride, statement);
+    }
+  };
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
+    return {c_.bind(start, inner, step), l_.bind(start, inner, step),
+            r_.bind(start, inner, step)};
   }
 
   void collect(std::vector<Access<rank>>& out) const {

@@ -190,6 +190,32 @@ class ScanBlock {
   std::function<void(Idx<R>, Rank, Coord, Coord)> fused_pencil_;
 };
 
+/// scan() with an explicit wavefront-dimension choice policy.
+template <Rank R, typename... Es>
+ScanBlock<R> scan_with_choice(const Region<R>& region, WavefrontChoice choice,
+                              const StatementSpec<Es>&... specs) {
+  static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
+  static_assert(((Es::rank == R) && ...), "statement ranks must match");
+  ScanBlock<R> sb(region, choice);
+  (sb.add(specs), ...);
+  // A pencil along a dimension some primed read shifts in is a recurrence:
+  // forwarding same-index values through registers shortens it.
+  std::vector<Access<R>> reads;
+  (specs.expr.collect(reads), ...);
+  std::array<bool, R> recurrent{};
+  for (const Access<R>& acc : reads)
+    for (Rank d = 0; d < R; ++d)
+      recurrent[d] = recurrent[d] || (acc.primed && acc.dir.v[d] != 0);
+  sb.set_fused_pencil([specs..., recurrent](Idx<R> i, Rank inner, Coord step,
+                                            Coord count) {
+    if (recurrent[inner])
+      run_pencil_forwarding(count, specs.bind(i, inner, step)...);
+    else
+      run_pencil(count, specs.bind(i, inner, step)...);
+  });
+  return sb;
+}
+
 /// Builds a scan block from typed statement specs and installs the fused
 /// per-index evaluator — the preferred way to write a block:
 ///
@@ -197,35 +223,7 @@ class ScanBlock {
 ///                      d <<= 1.0 / (dd - at(aa, north) * r));
 template <Rank R, typename... Es>
 ScanBlock<R> scan(const Region<R>& region, const StatementSpec<Es>&... specs) {
-  static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
-  static_assert(((Es::rank == R) && ...), "statement ranks must match");
-  ScanBlock<R> sb(region);
-  (sb.add(specs), ...);
-  sb.set_fused_pencil(
-      [specs...](Idx<R> i, Rank inner, Coord step, Coord count) {
-        for (Coord k = 0; k < count; ++k) {
-          (((*specs.lhs)(i) = specs.expr.eval(i)), ...);
-          i.v[inner] += step;
-        }
-      });
-  return sb;
-}
-
-/// scan() with an explicit wavefront-dimension choice policy.
-template <Rank R, typename... Es>
-ScanBlock<R> scan_with_choice(const Region<R>& region, WavefrontChoice choice,
-                              const StatementSpec<Es>&... specs) {
-  static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
-  ScanBlock<R> sb(region, choice);
-  (sb.add(specs), ...);
-  sb.set_fused_pencil(
-      [specs...](Idx<R> i, Rank inner, Coord step, Coord count) {
-        for (Coord k = 0; k < count; ++k) {
-          (((*specs.lhs)(i) = specs.expr.eval(i)), ...);
-          i.v[inner] += step;
-        }
-      });
-  return sb;
+  return scan_with_choice(region, WavefrontChoice::kLeftmost, specs...);
 }
 
 /// Convenience for the tests and the programmer-reasoning examples of the

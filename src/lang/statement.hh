@@ -9,6 +9,8 @@
 //   * rhs_pencil   — the same run, but writing RHS values to a buffer
 //                    (array-language temporary semantics, used by the
 //                    unfused baseline executor of the cache study).
+// The pencil evaluators bind the statement once per pencil to pointer
+// cursors (see expr.hh) and walk plain memory.
 //
 // The typed specs additionally let the variadic scan(...) builder compile a
 // *fused* pencil that interleaves all statements per index at native speed
@@ -29,7 +31,69 @@ struct StatementSpec {
   static constexpr Rank rank = E::rank;
   DenseArray<Real, E::rank>* lhs;
   E expr;
+
+  /// The statement bound to one pencil: assign(k, stored) evaluates the
+  /// right-hand side's element k, stores it into the left-hand side's
+  /// element k and returns it.
+  struct Cursor {
+    Real* out;
+    Coord stride;
+    typename E::Cursor rhs;
+
+    template <std::size_t J>
+    Real assign(Coord k, const Stored<J>& stored) const {
+      const Real x = rhs(k, stored);
+      out[k * stride] = x;
+      return x;
+    }
+  };
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
+    return {&(*lhs)(start), step * lhs->stride(inner),
+            expr.bind(start, inner, step)};
+  }
 };
+
+/// Runs bound statements along one pencil, interleaved per index in
+/// argument order — the body of a fused loop nest. Every read goes through
+/// memory, after the stores of the statements before it.
+template <typename... Cs>
+void run_pencil(Coord count, const Cs&... cursors) {
+  for (Coord k = 0; k < count; ++k) (cursors.assign(k, kNothingStored), ...);
+}
+
+/// One index of run_pencil_forwarding: each statement in turn, handing on
+/// what it stored. Always inlined so the stored values stay in registers.
+template <std::size_t J, typename C, typename... Rest>
+[[gnu::always_inline]] inline void assign_in_order(Coord k,
+                                                   const Stored<J>& stored,
+                                                   const C& c,
+                                                   const Rest&... rest) {
+  const Real x = c.assign(k, stored);
+  if constexpr (sizeof...(Rest) > 0) {
+    Stored<J + 1> next;
+    for (std::size_t i = 0; i < J; ++i) next[i] = stored[i];
+    next[J] = x;
+    assign_in_order(k, next, rest...);
+  }
+}
+
+/// run_pencil, except that a read of exactly a location an earlier
+/// statement stores at the same index (linked once per pencil) takes the
+/// stored value from a register rather than reloading it. That shortens a
+/// recurrence along the pencil, where each index waits on the one before;
+/// elsewhere the per-read check only costs throughput.
+template <typename... Cs>
+void run_pencil_forwarding(Coord count, Cs... cursors) {
+  int j = 0;
+  auto link_to_earlier = [&](auto& c) {
+    int i = 0;
+    ((i < j ? c.rhs.link(cursors.out, cursors.stride, i) : void(), ++i), ...);
+    ++j;
+  };
+  (link_to_earlier(cursors), ...);
+  for (Coord k = 0; k < count; ++k)
+    assign_in_order(k, kNothingStored, cursors...);
+}
 
 /// Builds a StatementSpec from `lhs <<= rhs_expression`. The operator is
 /// chosen for its low precedence: `a <<= b + c * at(d, north)` parses the
@@ -82,19 +146,14 @@ Statement<E::rank> to_statement(const StatementSpec<E>& spec) {
 
   st.eval_at = [lp, expr](const Idx<R>& i) { (*lp)(i) = expr.eval(i); };
 
-  st.eval_pencil = [lp, expr](Idx<R> i, Rank inner, Coord step, Coord count) {
-    for (Coord k = 0; k < count; ++k) {
-      (*lp)(i) = expr.eval(i);
-      i.v[inner] += step;
-    }
+  st.eval_pencil = [spec](Idx<R> i, Rank inner, Coord step, Coord count) {
+    run_pencil(count, spec.bind(i, inner, step));
   };
 
   st.rhs_pencil = [expr](Idx<R> i, Rank inner, Coord step, Coord count,
                          Real* out) {
-    for (Coord k = 0; k < count; ++k) {
-      out[k] = expr.eval(i);
-      i.v[inner] += step;
-    }
+    const auto rhs = expr.bind(i, inner, step);
+    for (Coord k = 0; k < count; ++k) out[k] = rhs(k, kNothingStored);
   };
 
   return st;

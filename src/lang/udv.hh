@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "index/index.hh"
+#include "index/pencil.hh"
 #include "support/error.hh"
 
 namespace wavepipe {
@@ -31,16 +31,6 @@ namespace wavepipe {
 /// An execute-before constraint over array dimensions.
 template <Rank R>
 using Udv = Direction<R>;
-
-/// A loop nest shape: order[0] is the outermost dimension; step[d] is +1
-/// (ascending) or -1 (descending) for dimension d.
-template <Rank R>
-struct LoopStructure {
-  std::array<Rank, R> order{};
-  std::array<int, R> step{};
-
-  friend bool operator==(const LoopStructure&, const LoopStructure&) = default;
-};
 
 /// True when `c` is lexicographically positive under the structure: scanning
 /// dimensions outermost-first, the first nonzero signed component is > 0.

@@ -3,6 +3,10 @@
 // points.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "apps/tomcatv.hh"
 
 namespace wavepipe {
@@ -160,6 +164,34 @@ TEST(Tomcatv, RejectsTinyProblems) {
         Tomcatv app(cfg, ProcGrid<2>({1, 1}), 0);
       },
       Error);
+}
+
+// init() tabulates each sine/cosine factor once per row or column. Every
+// element of every rank's block (fluff included) must still equal the
+// per-element formula bit for bit.
+TEST(Tomcatv, InitMatchesPerElementFormulaBitwise) {
+  auto bits = [](Real v) { return std::bit_cast<std::uint64_t>(v); };
+  for (StorageOrder order : {StorageOrder::kColMajor, StorageOrder::kRowMajor}) {
+    TomcatvConfig cfg;
+    cfg.n = 37;
+    cfg.order = order;
+    for (int p : {1, 3}) {
+      const ProcGrid<2> grid = ProcGrid<2>::along_dim(p, 0);
+      for (int r = 0; r < p; ++r) {
+        Tomcatv app(cfg, grid, r);
+        for_each(app.x().region(), [&](const Idx<2>& i) {
+          const Real fi = static_cast<Real>(i.v[0]);
+          const Real fj = static_cast<Real>(i.v[1]);
+          ASSERT_EQ(bits(app.x()(i)),
+                    bits(fj + 0.25 * std::sin(2.7 * fi) * std::sin(2.9 * fj)))
+              << "x at " << to_string(i) << ", p=" << p << " rank " << r;
+          ASSERT_EQ(bits(app.y()(i)),
+                    bits(fi + 0.25 * std::cos(2.6 * fi) * std::sin(2.8 * fj)))
+              << "y at " << to_string(i) << ", p=" << p << " rank " << r;
+        });
+      }
+    }
+  }
 }
 
 }  // namespace
