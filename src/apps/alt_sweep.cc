@@ -17,15 +17,15 @@ AltSweep::AltSweep(const AltSweepConfig& cfg, const ProcGrid<2>& grid,
       global_({{0, 0}}, {{cfg.n - 1, cfg.n - 1}}),
       interior_({{1, 1}}, {{cfg.n - 2, cfg.n - 2}}),
       layout_(global_, grid, Idx<2>{{1, 1}}),
-      u_("u", layout_, rank, cfg.order),
-      f_("f", layout_, rank, cfg.order),
-      g_("g", layout_, rank, cfg.order),
-      res_("res", layout_, rank, cfg.order),
+      u_("u", layout_, rank, cfg.order, kForOverwrite),
+      f_("f", layout_, rank, cfg.order, kForOverwrite),
+      g_("g", layout_, rank, cfg.order, kForOverwrite),
+      res_("res", layout_, rank, cfg.order, kForOverwrite),
       tlayout_(transposed_layout(layout_)),
       tinterior_(transposed_region(interior_)),
-      ut_("ut", tlayout_, rank, cfg.order),
-      ft_("ft", tlayout_, rank, cfg.order),
-      gt_("gt", tlayout_, rank, cfg.order),
+      ut_("ut", tlayout_, rank, cfg.order, kForOverwrite),
+      ft_("ft", tlayout_, rank, cfg.order, kForOverwrite),
+      gt_("gt", tlayout_, rank, cfg.order, kForOverwrite),
       vplan_(scan(interior_,
                   u_.local() <<= (1.0 - cfg.omega) * u_.local() +
                                  (cfg.omega * 0.25) *

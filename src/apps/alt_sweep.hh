@@ -52,6 +52,11 @@ class AltSweep {
   AltSweep(const AltSweep&) = delete;
   AltSweep& operator=(const AltSweep&) = delete;
 
+  /// Dirichlet boundary, zero interior, fixed source term; the transposed
+  /// twins hold the same fields with coordinates swapped.
+  /// Writes every allocated element, fluff included: the constructor
+  /// builds the arrays for overwrite and calls init() once. Calling it
+  /// again re-initializes.
   void init();
 
   /// One iteration: vertical sweep (by the chosen strategy) followed by

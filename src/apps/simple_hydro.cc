@@ -12,17 +12,17 @@ SimpleHydro::SimpleHydro(const SimpleConfig& cfg, const ProcGrid<2>& grid,
       global_({{1, 1}}, {{cfg.n, cfg.n}}),
       interior_({{2, 2}}, {{cfg.n - 1, cfg.n - 1}}),
       layout_(global_, grid, Idx<2>{{1, 1}}),
-      rho_("rho", layout_.allocated(rank), cfg.order),
-      e_("e", layout_.allocated(rank), cfg.order),
-      p_("p", layout_.allocated(rank), cfg.order),
-      q_("q", layout_.allocated(rank), cfg.order),
-      u_("u", layout_.allocated(rank), cfg.order),
-      v_("v", layout_.allocated(rank), cfg.order),
-      temp_("T", layout_.allocated(rank), cfg.order),
-      aa_("aa", layout_.allocated(rank), cfg.order),
-      dd_("dd", layout_.allocated(rank), cfg.order),
-      d_("d", layout_.allocated(rank), cfg.order),
-      r_("r", layout_.allocated(rank), cfg.order),
+      rho_("rho", layout_.allocated(rank), cfg.order, kForOverwrite),
+      e_("e", layout_.allocated(rank), cfg.order, kForOverwrite),
+      p_("p", layout_.allocated(rank), cfg.order, kForOverwrite),
+      q_("q", layout_.allocated(rank), cfg.order, kForOverwrite),
+      u_("u", layout_.allocated(rank), cfg.order, kForOverwrite),
+      v_("v", layout_.allocated(rank), cfg.order, kForOverwrite),
+      temp_("T", layout_.allocated(rank), cfg.order, kForOverwrite),
+      aa_("aa", layout_.allocated(rank), cfg.order, kForOverwrite),
+      dd_("dd", layout_.allocated(rank), cfg.order, kForOverwrite),
+      d_("d", layout_.allocated(rank), cfg.order, kForOverwrite),
+      r_("r", layout_.allocated(rank), cfg.order, kForOverwrite),
       fwd_plan_(compile_forward()),
       bwd_plan_(compile_backward()) {
   require(cfg.n >= 4, "SIMPLE needs n >= 4");

@@ -39,6 +39,9 @@ class SimpleHydro {
   SimpleHydro& operator=(const SimpleHydro&) = delete;
 
   /// Smooth initial density/energy bump, fluid at rest.
+  /// Writes every allocated element, fluff included: the constructor
+  /// builds the arrays for overwrite and calls init() once. Calling it
+  /// again re-initializes.
   void init();
 
   // --- phases (collective) ---

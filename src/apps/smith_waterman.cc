@@ -13,8 +13,8 @@ SmithWaterman::SmithWaterman(const SmithWatermanConfig& cfg,
       global_({{0, 0}}, {{cfg.la, cfg.lb}}),
       cells_({{1, 1}}, {{cfg.la, cfg.lb}}),
       layout_(global_, grid, Idx<2>{{1, 1}}),
-      h_("H", layout_.allocated(rank), cfg.order),
-      s_("S", layout_.allocated(rank), cfg.order),
+      h_("H", layout_.allocated(rank), cfg.order, kForOverwrite),
+      s_("S", layout_.allocated(rank), cfg.order, kForOverwrite),
       plan_(compile_fill()) {
   require(cfg.la >= 1 && cfg.lb >= 1, "sequences must be non-empty");
   init();

@@ -49,6 +49,9 @@ class SmithWaterman {
   SmithWaterman& operator=(const SmithWaterman&) = delete;
 
   /// Deterministic random sequences and the similarity matrix S.
+  /// Writes every allocated element, fluff included: the constructor
+  /// builds the arrays for overwrite and calls init() once. Calling it
+  /// again re-initializes.
   void init();
 
   /// Fills the whole score matrix (one wavefront; collective).

@@ -11,9 +11,9 @@ Sor::Sor(const SorConfig& cfg, const ProcGrid<2>& grid, int rank)
       global_({{0, 0}}, {{cfg.n - 1, cfg.n - 1}}),
       interior_({{1, 1}}, {{cfg.n - 2, cfg.n - 2}}),
       layout_(global_, grid, Idx<2>{{1, 1}}),
-      u_("u", layout_.allocated(rank), cfg.order),
-      f_("f", layout_.allocated(rank), cfg.order),
-      res_("res", layout_.allocated(rank), cfg.order),
+      u_("u", layout_.allocated(rank), cfg.order, kForOverwrite),
+      f_("f", layout_.allocated(rank), cfg.order, kForOverwrite),
+      res_("res", layout_.allocated(rank), cfg.order, kForOverwrite),
       plan_(compile_sweep()) {
   require(cfg.n >= 4, "SOR needs n >= 4");
   init();

@@ -31,6 +31,9 @@ class Sor {
   Sor& operator=(const Sor&) = delete;
 
   /// Zero interior, Dirichlet boundary, smooth source term.
+  /// Writes every allocated element, fluff included: the constructor
+  /// builds the arrays for overwrite and calls init() once. Calling it
+  /// again re-initializes.
   void init();
 
   /// One natural-ordering sweep (a wavefront; collective).

@@ -35,9 +35,9 @@ Sweep3d::Sweep3d(const Sweep3dConfig& cfg, const ProcGrid<3>& grid, int rank)
       global_({{1, 1, 1}}, {{cfg.n, cfg.n, cfg.n}}),
       cells_(global_),
       layout_(global_, grid, Idx<3>{{1, 1, 1}}),
-      phi_("phi", layout_.allocated(rank), cfg.order),
-      flux_("flux", layout_.allocated(rank), cfg.order),
-      src_("src", layout_.allocated(rank), cfg.order),
+      phi_("phi", layout_.allocated(rank), cfg.order, kForOverwrite),
+      flux_("flux", layout_.allocated(rank), cfg.order, kForOverwrite),
+      src_("src", layout_.allocated(rank), cfg.order, kForOverwrite),
       quadrature_(make_quadrature(cfg.angles)) {
   require(cfg.n >= 2, "SWEEP3D needs n >= 2");
   plans_.reserve(8 * static_cast<std::size_t>(cfg.angles));
@@ -135,9 +135,11 @@ void Sweep3d::ensure_slots(int slots) {
   if (static_cast<int>(slot_phi_.size()) == k) return;
   slot_plans_.clear();
   slot_phi_.clear();
+  // For overwrite: build_sweep_graph zero-fills every slot before use.
   for (int s = 0; s < k; ++s)
     slot_phi_.push_back(std::make_unique<DenseArray<Real, 3>>(
-        "phi_slot" + std::to_string(s), layout_.allocated(rank_), cfg_.order));
+        "phi_slot" + std::to_string(s), layout_.allocated(rank_), cfg_.order,
+        kForOverwrite));
   slot_plans_.reserve(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i)
     slot_plans_.push_back(

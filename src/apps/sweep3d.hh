@@ -51,6 +51,9 @@ class Sweep3d {
 
   /// Isotropic source bump in the middle, vacuum boundaries (phi = 0 on
   /// the inflow faces), zero initial flux.
+  /// Writes every allocated element, fluff included: the constructor
+  /// builds the arrays for overwrite and calls init() once. Calling it
+  /// again re-initializes.
   void init();
 
   /// Sweeps one (octant, angle) pair (octant 0..7; bit 0/1/2 = negative

@@ -21,14 +21,14 @@ Tomcatv::Tomcatv(const TomcatvConfig& cfg, const ProcGrid<2>& grid, int rank)
       global_(global_region(cfg.n)),
       interior_(interior_region(cfg.n)),
       layout_(global_, grid, kFluff),
-      x_("x", layout_.allocated(rank), cfg.order),
-      y_("y", layout_.allocated(rank), cfg.order),
-      rx_("rx", layout_.allocated(rank), cfg.order),
-      ry_("ry", layout_.allocated(rank), cfg.order),
-      aa_("aa", layout_.allocated(rank), cfg.order),
-      dd_("dd", layout_.allocated(rank), cfg.order),
-      d_("d", layout_.allocated(rank), cfg.order),
-      r_("r", layout_.allocated(rank), cfg.order),
+      x_("x", layout_.allocated(rank), cfg.order, kForOverwrite),
+      y_("y", layout_.allocated(rank), cfg.order, kForOverwrite),
+      rx_("rx", layout_.allocated(rank), cfg.order, kForOverwrite),
+      ry_("ry", layout_.allocated(rank), cfg.order, kForOverwrite),
+      aa_("aa", layout_.allocated(rank), cfg.order, kForOverwrite),
+      dd_("dd", layout_.allocated(rank), cfg.order, kForOverwrite),
+      d_("d", layout_.allocated(rank), cfg.order, kForOverwrite),
+      r_("r", layout_.allocated(rank), cfg.order, kForOverwrite),
       fwd_plan_(compile_forward()),
       bwd_plan_(compile_backward()) {
   require(cfg.n >= 4, "Tomcatv needs n >= 4");

@@ -41,6 +41,9 @@ class Tomcatv {
   Tomcatv& operator=(const Tomcatv&) = delete;
 
   /// Deterministic initial mesh (a distorted lattice) and coefficients.
+  /// Writes every allocated element, fluff included: the constructor
+  /// builds the arrays for overwrite and calls init() once. Calling it
+  /// again re-initializes.
   void init();
 
   // --- the four phases (all collective over the grid) ---

@@ -7,12 +7,18 @@
 // uniprocessor cache study (Fig 6) depends on Fortran's column-major
 // layout; the default here is column-major to match the benchmarks it
 // reproduces.
+//
+// Elements live in a std::vector over StorageAllocator (array/storage.hh):
+// large blocks are recycled across runs, and an array built for overwrite
+// is not zero-filled first.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "array/storage.hh"
 #include "index/pencil.hh"
 
 namespace wavepipe {
@@ -24,16 +30,35 @@ constexpr Rank contiguous_dim(StorageOrder order, Rank rank) {
   return order == StorageOrder::kRowMajor ? rank - 1 : 0;
 }
 
+/// Tag of DenseArray's for-overwrite constructor (cf.
+/// std::make_unique_for_overwrite).
+struct ForOverwrite {
+  explicit ForOverwrite() = default;
+};
+inline constexpr ForOverwrite kForOverwrite{};
+
 template <typename T, Rank R>
 class DenseArray {
  public:
+  using Storage = std::vector<T, StorageAllocator<T>>;
+
   DenseArray(std::string name, const Region<R>& region,
              StorageOrder order = StorageOrder::kColMajor, T init = T{})
+      : DenseArray(std::move(name), region, order, kForOverwrite) {
+    std::fill(data_.begin(), data_.end(), init);
+  }
+
+  /// Builds the array with its elements default-initialized: an arithmetic
+  /// T holds whatever its storage held (a recycled block keeps the values
+  /// of its last array). The caller must write every element of region(),
+  /// fluff included, before anything reads one.
+  DenseArray(std::string name, const Region<R>& region, StorageOrder order,
+             ForOverwrite)
       : name_(std::move(name)), region_(region), order_(order) {
     require(!region.empty(), "DenseArray needs a non-empty region");
     for (Rank d = 0; d < R; ++d) extent_[d] = region.extent(d);
     compute_strides();
-    data_.assign(static_cast<std::size_t>(region.size()), init);
+    data_.resize(static_cast<std::size_t>(region.size()));
   }
 
   DenseArray(const DenseArray&) = delete;
@@ -117,8 +142,8 @@ class DenseArray {
                     });
   }
 
-  std::vector<T>& raw() { return data_; }
-  const std::vector<T>& raw() const { return data_; }
+  Storage& raw() { return data_; }
+  const Storage& raw() const { return data_; }
 
   /// Linear offset of a global index into raw().
   std::size_t offset(const Idx<R>& i) const {
@@ -154,7 +179,7 @@ class DenseArray {
   StorageOrder order_;
   std::array<Coord, R> extent_{};
   std::array<Coord, R> stride_{};
-  std::vector<T> data_;
+  Storage data_;
 };
 
 /// Max |difference| between two same-region arrays; convergence checks and

@@ -24,6 +24,15 @@ class DistArray {
         owned_(layout.owned(rank)),
         local_(std::move(name), layout.allocated(rank), order, init) {}
 
+  /// The local storage built for overwrite (DenseArray's kForOverwrite
+  /// constructor): the caller writes every allocated cell, fluff included.
+  DistArray(std::string name, const Layout<R>& layout, int rank,
+            StorageOrder order, ForOverwrite tag)
+      : layout_(layout),
+        rank_(rank),
+        owned_(layout.owned(rank)),
+        local_(std::move(name), layout.allocated(rank), order, tag) {}
+
   const Layout<R>& layout() const { return layout_; }
   int rank() const { return rank_; }
 

@@ -275,12 +275,14 @@ void SweepService::run_round() {
   }
 }
 
+bool SweepService::is_queued(JobId id) const {
+  return std::any_of(queue_.begin(), queue_.end(),
+                     [id](const Pending& pj) { return pj.id == id; });
+}
+
 const JobResult& SweepService::wait(JobId id) {
   while (!done(id)) {
-    const bool queued = std::any_of(
-        queue_.begin(), queue_.end(),
-        [id](const Pending& pj) { return pj.id == id; });
-    if (!queued)
+    if (!is_queued(id))
       throw ServiceError("unknown job id " + std::to_string(id));
     run_round();
   }
@@ -303,6 +305,14 @@ const JobResult& SweepService::result(JobId id) const {
     throw ServiceError("job#" + std::to_string(id) + " (" +
                        it->second.bill.app + ") failed: " + it->second.error);
   return it->second;
+}
+
+void SweepService::forget(JobId id) {
+  if (results_.erase(id) != 0) return;
+  if (is_queued(id))
+    throw ServiceError("job " + std::to_string(id) +
+                       " has not completed; it cannot be forgotten");
+  throw ServiceError("unknown job id " + std::to_string(id));
 }
 
 }  // namespace wavepipe

@@ -79,7 +79,15 @@ class SweepService {
   /// The completed job's result; same errors as wait().
   const JobResult& result(JobId id) const;
 
+  /// Drops the result of completed job `id` (a failed one too), so a
+  /// long-lived client need not keep every result it has collected; the
+  /// id is unknown afterwards, and references wait() or result() returned
+  /// for it dangle. Throws ServiceError for unknown ids and for jobs still
+  /// queued.
+  void forget(JobId id);
+
   std::size_t queued() const { return queue_.size(); }
+  /// Results held: completed jobs not yet forgotten.
   std::size_t completed() const { return results_.size(); }
   int rounds() const { return rounds_; }
   std::uint64_t cache_hits() const { return cache_.hits(); }
@@ -112,6 +120,7 @@ class SweepService {
   };
 
   const SuiteApp& find_app(const std::string& name) const;
+  bool is_queued(JobId id) const;
 
   /// Admits a maximal prefix-with-backfill of the queue onto disjoint rank
   /// windows and runs it as one Machine::run. Fills results_.

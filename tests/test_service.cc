@@ -348,6 +348,68 @@ TEST(SweepService, TagLeaseOverflowFailsTheJobTyped) {
   EXPECT_THROW(svc.wait(id2), ServiceError);  // same tiny lease
 }
 
+TEST(SweepService, ForgetDropsCollectedResults) {
+  ServiceConfig cfg;
+  cfg.ranks = 4;
+  cfg.costs = test_costs();
+  SweepService svc(cfg);
+  JobParams params;
+  params.app = "sor";
+  params.n = 16;
+  params.p = 2;
+  const JobId a = svc.submit(params);
+  const JobId b = svc.submit(params);
+  const Real value_b = svc.wait(b).bill.value;
+  ASSERT_EQ(svc.completed(), 2u);
+
+  svc.forget(a);
+  EXPECT_EQ(svc.completed(), 1u);
+  EXPECT_FALSE(svc.done(a));
+  EXPECT_THROW(svc.result(a), ServiceError);
+  EXPECT_THROW(svc.wait(a), ServiceError);  // unknown now, not re-run
+  // The other result is untouched.
+  EXPECT_EQ(svc.result(b).bill.value, value_b);
+  svc.forget(b);
+  EXPECT_EQ(svc.completed(), 0u);
+  EXPECT_EQ(svc.rounds(), 1);
+}
+
+TEST(SweepService, ForgetRejectsUnknownAndUnfinishedJobsTyped) {
+  ServiceConfig cfg;
+  cfg.ranks = 2;
+  cfg.costs = test_costs();
+  SweepService svc(cfg);
+  EXPECT_THROW(svc.forget(999), ServiceError);  // never submitted
+  JobParams params;
+  params.app = "sor";
+  params.n = 16;
+  params.p = 2;
+  const JobId id = svc.submit(params);
+  EXPECT_THROW(svc.forget(id), ServiceError);  // still queued
+  EXPECT_EQ(svc.queued(), 1u);                 // and still there
+  svc.wait(id);
+  svc.forget(id);
+  EXPECT_THROW(svc.forget(id), ServiceError);  // already forgotten
+}
+
+TEST(SweepService, ForgetDropsFailedResults) {
+  ServiceConfig cfg;
+  cfg.ranks = 2;
+  cfg.costs = test_costs();
+  cfg.job_tag_span = 4;  // every job's first send overflows its lease
+  SweepService svc(cfg);
+  JobParams params;
+  params.app = "tomcatv";
+  params.n = 8;
+  params.p = 2;
+  const JobId id = svc.submit(params);
+  EXPECT_THROW(svc.wait(id), ServiceError);
+  ASSERT_TRUE(svc.done(id));
+  svc.forget(id);
+  EXPECT_FALSE(svc.done(id));
+  EXPECT_EQ(svc.completed(), 0u);
+}
+
 TEST(SweepService, LeasesRecycleAcrossRounds) {
   ServiceConfig cfg;
   cfg.ranks = 4;
