@@ -66,13 +66,11 @@ void AltSweep::init() {
   };
   u_.local().fill_fn([&](const Idx<2>& i) { return u0(i.v[0], i.v[1]); });
   f_.local().fill_fn([&](const Idx<2>& i) { return f0(i.v[0], i.v[1]); });
-  g_.local().fill(0.0);
   res_.local().fill(0.0);
   // Transposed twins: coordinates swapped. f is constant, so its transpose
   // is filled once here, locally; u's transpose flows at runtime.
   ut_.local().fill_fn([&](const Idx<2>& i) { return u0(i.v[1], i.v[0]); });
   ft_.local().fill_fn([&](const Idx<2>& i) { return f0(i.v[1], i.v[0]); });
-  gt_.local().fill(0.0);
 }
 
 void AltSweep::vertical_pipelined(Communicator& comm,

@@ -54,9 +54,10 @@ class AltSweep {
 
   /// Dirichlet boundary, zero interior, fixed source term; the transposed
   /// twins hold the same fields with coordinates swapped.
-  /// Writes every allocated element, fluff included: the constructor
-  /// builds the arrays for overwrite and calls init() once. Calling it
-  /// again re-initializes.
+  /// Writes every allocated element, fluff included, except the sweep
+  /// scratch g and gt: each sweep writes them before any read. The
+  /// constructor builds the arrays for overwrite and calls init() once.
+  /// Calling it again re-initializes.
   void init();
 
   /// One iteration: vertical sweep (by the chosen strategy) followed by

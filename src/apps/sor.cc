@@ -47,7 +47,6 @@ void Sor::init() {
     const Real yy = static_cast<Real>(i.v[1]) * h;
     return h * h * 2.0 * pi * pi * std::sin(pi * xx) * std::sin(pi * yy);
   });
-  res_.fill(0.0);
 }
 
 WaveReport<2> Sor::sweep(Communicator& comm, const WaveOptions& opts) {

@@ -31,9 +31,10 @@ class Sor {
   Sor& operator=(const Sor&) = delete;
 
   /// Zero interior, Dirichlet boundary, smooth source term.
-  /// Writes every allocated element, fluff included: the constructor
-  /// builds the arrays for overwrite and calls init() once. Calling it
-  /// again re-initializes.
+  /// Writes every allocated element of u and f, fluff included: the
+  /// constructor builds the arrays for overwrite and calls init() once.
+  /// The residual scratch res is left unwritten, because residual_norm
+  /// writes every element it reads. Calling init() again re-initializes.
   void init();
 
   /// One natural-ordering sweep (a wavefront; collective).

@@ -31,9 +31,9 @@
 //   3. Completion stamps depend only on program order, so nonblocking
 //      virtual times are as deterministic as blocking ones under both
 //      engines. (test() and wait_any() additionally depend on *physical*
-//      arrival, which is deterministic under fibers and under threads only
-//      when arrival order is dependency-forced — the same caveat probe()
-//      carries.)
+//      arrival, which is deterministic under fibers and under the parallel
+//      engine's real threads only when arrival order is dependency-forced —
+//      the same caveat probe() carries.)
 #pragma once
 
 #include <atomic>
@@ -308,7 +308,7 @@ class Communicator {
   /// index) among the physically complete — a deterministic tie-break —
   /// and returns its index. Invalid handles are skipped; throws CommError
   /// if every handle is invalid. See rule 3 for the determinism caveat
-  /// under the threaded engine.
+  /// under the parallel engine.
   std::size_t wait_any(std::span<Request> rs);
 
   // ---- collectives (binomial trees over point-to-point) ----

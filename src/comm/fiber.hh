@@ -1,22 +1,25 @@
 // Cooperative-fiber execution engine for the SPMD Machine.
 //
-// The threaded engine pays a kernel context switch plus a lock handoff for
-// every message, which on a small host dominates wall-clock time. This
-// engine runs all ranks as stackful fibers (POSIX ucontext) on the calling
-// thread: a rank runs until it blocks (recv with no matching message, a
-// collective waiting on a peer), then the scheduler switches — in user
-// space, no locks — to the runnable rank with the earliest virtual clock
-// (rank id as tiebreak). Because virtual times, stats, phases, and trace
-// stamps depend only on per-rank program order and sender-computed arrival
-// stamps, the fiber engine produces results byte-identical to the threaded
-// engine (asserted in tests/test_engine_equivalence.cc); scheduling order
-// is additionally deterministic, run to run.
+// An engine with one OS thread per rank pays a kernel wake-up for every
+// message that finds its receiver parked, which on a small host dominates
+// wall-clock time. This engine runs all ranks as stackful fibers (POSIX
+// ucontext) on the calling thread: a rank runs until it blocks (recv with
+// no matching message, a collective waiting on a peer), then the scheduler
+// switches — in user space, no locks — to the runnable rank with the
+// earliest virtual clock (rank id as tiebreak). Because virtual times,
+// stats, phases, and trace stamps depend only on per-rank program order
+// and sender-computed arrival stamps, the fiber engine produces results
+// byte-identical to the parallel engine (asserted in
+// tests/test_engine_equivalence.cc); scheduling order is additionally
+// deterministic, run to run, and a communication deadlock is reported as a
+// typed EngineError instead of a hang.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/mailbox.hh"
@@ -25,12 +28,16 @@ namespace wavepipe {
 
 /// How Machine::run executes its ranks.
 enum class EngineKind {
-  kThreads,   // one OS thread per rank (the original engine)
   kFibers,    // all ranks as cooperative fibers on the calling thread
   kParallel,  // one core-pinned OS thread per rank, lock-free SPSC mailboxes
 };
 
 const char* to_string(EngineKind k);
+
+/// Parses a WAVEPIPE_ENGINE value: "fibers" (or empty, the default) or
+/// "parallel". Anything else throws ConfigError naming the valid set. The
+/// one parser every engine knob goes through.
+EngineKind parse_engine_kind(const std::string& s);
 
 /// How the fiber scheduler picks the next runnable rank.
 enum class SchedKind {
@@ -59,7 +66,7 @@ struct SchedConfig {
 
 /// True when the platform provides the context-switching API the fiber
 /// engine needs (POSIX ucontext + mmap). When false, a Machine asked for
-/// kFibers falls back to kThreads with a logged warning.
+/// kFibers falls back to kParallel with a logged warning.
 bool fibers_supported();
 
 struct EngineConfig {
@@ -79,7 +86,7 @@ struct EngineConfig {
   /// sharing the host with other work.
   bool pin_threads = true;
 
-  /// WAVEPIPE_ENGINE=threads|fibers|parallel selects the engine (default
+  /// WAVEPIPE_ENGINE=fibers|parallel selects the engine (default
   /// fibers); WAVEPIPE_FIBER_STACK=N[k|m] sizes fiber stacks in bytes
   /// (suffixes for KiB / MiB); WAVEPIPE_SCHED=deterministic|random:<seed>
   /// selects the fiber scheduling policy (default deterministic);
@@ -117,7 +124,7 @@ class FiberScheduler : public MailboxBlocker {
 
   /// Runs body(rank) for every rank to completion on the calling thread.
   /// When every unfinished rank is blocked (a communication deadlock, which
-  /// the threaded engine would hang on), `on_deadlock` is invoked to poison
+  /// the parallel engine would hang on), `on_deadlock` is invoked to poison
   /// the machine's mailboxes; the blocked fibers then unwind their stacks
   /// normally and run() throws EngineError naming the blocked ranks.
   /// EngineError is also thrown when a fiber overflows its stack (detected

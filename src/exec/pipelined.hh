@@ -386,13 +386,77 @@ std::vector<Region<R>> wave_faces_2d(const WavefrontPlan<R>& plan,
   return fs;
 }
 
-/// The 2D-frontier tile loop: an mi x mj tile grid traversed row-major in
-/// travel order. North inflow faces (from pred, axis-0 tag) arrive one per
-/// column tile of the first tile row; west inflow faces (from pred2,
-/// axis-1 tag) one per tile row at its first column; south/east outflows
-/// mirror them. Both streams are double-buffered exactly like the 1D
-/// schedule, and both sides of every face compute the identical region
-/// list from the plan, so payload layout never needs negotiation.
+/// The bundled 1D-frontier faces for tile `j` (tile size `block` along the
+/// tile dimension): one face per wave array in `uses` (the plan's
+/// wave_arrays(), in order). Shared by run_wavefront and the scheduler's
+/// lowering so payload layout is bit-identical.
+template <Rank R>
+std::vector<Region<R>> wave_faces_1d(const std::vector<ArrayUse<R>>& uses,
+                                     const WaveTiling<R>& t, Coord block,
+                                     Coord j, bool inflow) {
+  std::vector<Region<R>> fs;
+  const auto [ta, tb] = t.tile_range(block, j);
+  fs.reserve(uses.size());
+  for (const auto& u : uses)
+    fs.push_back(wave_face(t.local, u, t.w, t.travel, inflow, t.tdim, ta, tb));
+  return fs;
+}
+
+// ---- the face codec ----
+//
+// One bundled wave message carries the faces `fs` of the wave arrays
+// `uses` (fs[i] belongs to uses[i]), each in canonical order, back to back;
+// empty faces contribute nothing. Sender and receiver compute the same face
+// list from the plan, so the layout never needs negotiation. Every loop
+// that sends or receives wave faces — run_wavefront (1D and 2D) and
+// lower_wavefront (1D and 2D) — goes through these three functions.
+
+/// Element count of the bundled message for `fs`.
+template <Rank R>
+std::size_t faces_size(const std::vector<Region<R>>& fs) {
+  std::size_t n = 0;
+  for (const auto& f : fs) n += static_cast<std::size_t>(f.size());
+  return n;
+}
+
+/// Packs the outflow faces `fs` into `buf` (cleared first).
+template <Rank R>
+void pack_faces(const std::vector<ArrayUse<R>>& uses,
+                const std::vector<Region<R>>& fs, std::vector<Real>& buf) {
+  buf.clear();
+  for (std::size_t ui = 0; ui < fs.size(); ++ui) {
+    if (fs[ui].size() == 0) continue;
+    require(uses[ui].array->region().contains(fs[ui]),
+            "array '" + uses[ui].name() +
+                "' allocates too little fluff for the wave outflow face");
+    pack_region_into(*uses[ui].array, fs[ui], buf);
+  }
+}
+
+/// Unpacks a bundled inflow `payload` into the faces `fs`.
+template <Rank R>
+void unpack_faces(const std::vector<ArrayUse<R>>& uses,
+                  const std::vector<Region<R>>& fs,
+                  std::span<const Real> payload) {
+  std::size_t off = 0;
+  for (std::size_t ui = 0; ui < fs.size(); ++ui) {
+    const std::size_t n = static_cast<std::size_t>(fs[ui].size());
+    if (n == 0) continue;
+    require(uses[ui].array->region().contains(fs[ui]),
+            "array '" + uses[ui].name() +
+                "' allocates too little fluff for the wave inflow face");
+    unpack_region(*uses[ui].array, fs[ui], payload.subspan(off, n));
+    off += n;
+  }
+}
+
+/// The 2D-frontier tile loop: an mi x mj tile grid (row-major tile ids, in
+/// travel order) traversed anti-diagonally. North inflow faces (from pred,
+/// axis-0 tag) arrive one per column tile of the first tile row; west
+/// inflow faces (from pred2, axis-1 tag) one per tile row at its first
+/// column; south/east outflows mirror them. Both streams are
+/// double-buffered exactly like the 1D schedule and go through the face
+/// codec above.
 template <Rank R>
 WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
                                const WaveTiling<R>& t, Communicator& comm,
@@ -413,35 +477,6 @@ WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
     const auto [ra, rb] = t.wtile_range(bw, u);
     return wave_faces_2d(plan, t, 1, inflow, ra, rb);
   };
-  auto total_of = [](const std::vector<Region<R>>& fs) {
-    std::size_t n = 0;
-    for (const auto& f : fs) n += static_cast<std::size_t>(f.size());
-    return n;
-  };
-  auto unpack_faces = [&](const std::vector<Region<R>>& fs,
-                          std::span<const Real> payload) {
-    std::size_t off = 0;
-    for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-      const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-      if (n == 0) continue;
-      require(wave_uses[ui].array->region().contains(fs[ui]),
-              "array '" + wave_uses[ui].name() +
-                  "' allocates too little fluff for the wave inflow face");
-      unpack_region(*wave_uses[ui].array, fs[ui], payload.subspan(off, n));
-      off += n;
-    }
-  };
-  auto pack_faces = [&](const std::vector<Region<R>>& fs,
-                        std::vector<Real>& buf) {
-    buf.clear();
-    for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-      if (fs[ui].size() == 0) continue;
-      require(wave_uses[ui].array->region().contains(fs[ui]),
-              "array '" + wave_uses[ui].name() +
-                  "' allocates too little fluff for the wave outflow face");
-      pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-    }
-  };
 
   std::array<std::vector<Real>, 2> nrecv_buf, wrecv_buf, ssend_buf, esend_buf;
   std::array<Request, 2> nrecv_req, wrecv_req, ssend_req, esend_req;
@@ -449,14 +484,14 @@ WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
   auto post_north = [&](Coord v) {
     if (t.pred < 0 || v >= mj) return;
     auto& buf = nrecv_buf[static_cast<std::size_t>(v % 2)];
-    buf.resize(total_of(faces_n(v, /*inflow=*/true)));
+    buf.resize(faces_size(faces_n(v, /*inflow=*/true)));
     nrecv_req[static_cast<std::size_t>(v % 2)] =
         comm.irecv(t.pred, std::span<Real>(buf), tag_n);
   };
   auto post_west = [&](Coord u) {
     if (t.pred2 < 0 || u >= mi) return;
     auto& buf = wrecv_buf[static_cast<std::size_t>(u % 2)];
-    buf.resize(total_of(faces_w(u, /*inflow=*/true)));
+    buf.resize(faces_size(faces_w(u, /*inflow=*/true)));
     wrecv_req[static_cast<std::size_t>(u % 2)] =
         comm.irecv(t.pred2, std::span<Real>(buf), tag_w);
   };
@@ -479,14 +514,14 @@ WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
       if (u == 0 && t.pred >= 0) {
         const auto slot = static_cast<std::size_t>(v % 2);
         comm.wait(nrecv_req[slot]);
-        unpack_faces(faces_n(v, /*inflow=*/true),
+        unpack_faces(wave_uses, faces_n(v, /*inflow=*/true),
                      std::span<const Real>(nrecv_buf[slot]));
         post_north(v + 1);
       }
       if (v == 0 && t.pred2 >= 0) {
         const auto slot = static_cast<std::size_t>(u % 2);
         comm.wait(wrecv_req[slot]);
-        unpack_faces(faces_w(u, /*inflow=*/true),
+        unpack_faces(wave_uses, faces_w(u, /*inflow=*/true),
                      std::span<const Real>(wrecv_buf[slot]));
         post_west(u + 1);
       }
@@ -498,7 +533,7 @@ WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
       if (u == mi - 1 && t.succ >= 0) {
         const auto slot = static_cast<std::size_t>(v % 2);
         comm.wait(ssend_req[slot]);
-        pack_faces(faces_n(v, /*inflow=*/false), ssend_buf[slot]);
+        pack_faces(wave_uses, faces_n(v, /*inflow=*/false), ssend_buf[slot]);
         ssend_req[slot] =
             comm.isend(t.succ, std::span<const Real>(ssend_buf[slot]), tag_n);
         if (!opts.overlap) comm.wait(ssend_req[slot]);
@@ -506,7 +541,7 @@ WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
       if (v == mj - 1 && t.succ2 >= 0) {
         const auto slot = static_cast<std::size_t>(u % 2);
         comm.wait(esend_req[slot]);
-        pack_faces(faces_w(u, /*inflow=*/false), esend_buf[slot]);
+        pack_faces(wave_uses, faces_w(u, /*inflow=*/false), esend_buf[slot]);
         esend_req[slot] =
             comm.isend(t.succ2, std::span<const Real>(esend_buf[slot]), tag_w);
         if (!opts.overlap) comm.wait(esend_req[slot]);
@@ -573,11 +608,8 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   if (tiling.axes == 2)
     return detail::run_wavefront_2d(plan, tiling, comm, opts, rep);
 
-  const Rank w = tiling.w;
-  const int travel = tiling.travel;
   const int pred = tiling.pred;
   const int succ = tiling.succ;
-  const Rank tdim = tiling.tdim;
 
   const Coord b = tiling.clamp_block(opts.block);
   const Coord m = tiling.tiles(opts.block);
@@ -587,12 +619,7 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   const int wave_tag = opts.tag_base + 2 * static_cast<int>(R);
 
   auto faces_for = [&](Coord j, bool inflow) {
-    std::vector<Region<R>> fs;
-    const auto [ta, tb] = tiling.tile_range(b, j);
-    fs.reserve(wave_uses.size());
-    for (const auto& u : wave_uses)
-      fs.push_back(detail::wave_face(local, u, w, travel, inflow, tdim, ta, tb));
-    return fs;
+    return detail::wave_faces_1d(wave_uses, tiling, b, j, inflow);
   };
 
   // Double-buffered tile schedule over persistent buffers: while tile j
@@ -609,11 +636,8 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   // receive per tile suffices.
   auto post_inflow = [&](Coord j) {
     if (pred < 0 || j >= m) return;
-    const auto fs = faces_for(j, /*inflow=*/true);
-    std::size_t total = 0;
-    for (const auto& f : fs) total += static_cast<std::size_t>(f.size());
     auto& buf = recv_buf[static_cast<std::size_t>(j % 2)];
-    buf.resize(total);
+    buf.resize(detail::faces_size(faces_for(j, /*inflow=*/true)));
     recv_req[static_cast<std::size_t>(j % 2)] =
         comm.irecv(pred, std::span<Real>(buf), wave_tag);
   };
@@ -624,17 +648,8 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
     const std::size_t slot = static_cast<std::size_t>(j % 2);
     if (pred >= 0) {
       comm.wait(recv_req[slot]);
-      const auto fs = faces_for(j, /*inflow=*/true);
-      std::size_t off = 0;
-      for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-        const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-        require(wave_uses[ui].array->region().contains(fs[ui]),
-                "array '" + wave_uses[ui].name() +
-                    "' allocates too little fluff for the wave inflow face");
-        unpack_region(*wave_uses[ui].array, fs[ui],
-                      std::span<const Real>(recv_buf[slot]).subspan(off, n));
-        off += n;
-      }
+      detail::unpack_faces(wave_uses, faces_for(j, /*inflow=*/true),
+                           std::span<const Real>(recv_buf[slot]));
     }
     post_inflow(j + 1);
 
@@ -645,14 +660,7 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
     if (succ >= 0) {
       comm.wait(send_req[slot]);  // settle the send this buffer last made
       auto& buf = send_buf[slot];
-      buf.clear();
-      const auto fs = faces_for(j, /*inflow=*/false);
-      for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-        require(wave_uses[ui].array->region().contains(fs[ui]),
-                "array '" + wave_uses[ui].name() +
-                    "' allocates too little fluff for the wave outflow face");
-        pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-      }
+      detail::pack_faces(wave_uses, faces_for(j, /*inflow=*/false), buf);
       send_req[slot] = comm.isend(succ, std::span<const Real>(buf), wave_tag);
       if (!opts.overlap) comm.wait(send_req[slot]);
     }
@@ -667,7 +675,7 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   comm.wait(send_req[1]);
 
   rep.waved = true;
-  rep.tile_dim = tdim;
+  rep.tile_dim = tiling.tdim;
   rep.tiles = m;
   rep.block = b;
   return rep;

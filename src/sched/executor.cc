@@ -90,11 +90,13 @@ SchedOptions SchedOptions::from_env() {
   // fallback would quietly discard the configuration the user asked for.
   // run_graph re-checks against the machine that actually runs (the
   // authoritative gate); this early check catches the env-vs-env conflict
-  // at configuration time, before any machine exists.
+  // at configuration time, before any machine exists. The engine value goes
+  // through the comm layer's parser, so an unknown engine fails with the
+  // same valid-set message EngineConfig::from_env gives.
   if (opts.backend == SchedBackend::kTasks) {
     if (const char* e = std::getenv("WAVEPIPE_ENGINE")) {
       const std::string s(e);
-      if (!s.empty() && s != "parallel") {
+      if (!s.empty() && parse_engine_kind(s) != EngineKind::kParallel) {
         throw ConfigError(
             "WAVEPIPE_SCHED_BACKEND=tasks requires the parallel engine, but "
             "WAVEPIPE_ENGINE='" + s +
@@ -147,8 +149,8 @@ void check_static_safe(const TaskGraph& graph, const SchedOptions& opts) {
   // Fail fast on the cross-rank deadlock caveat (executor.hh header): a
   // static non-FIFO pick order over a graph that blocks on another rank's
   // sends can deadlock in ways this rank cannot detect from its own graph,
-  // so refuse before running anything rather than hang (threaded/parallel
-  // engines) or unwind mid-graph (fiber engine's detector).
+  // so refuse before running anything rather than hang (parallel engine)
+  // or unwind mid-graph (fiber engine's detector).
   if (opts.adaptive || opts.policy == SchedPolicy::kFifo ||
       opts.allow_unsafe_static)
     return;

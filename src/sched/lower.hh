@@ -122,11 +122,6 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
       const auto [ra, rb] = wt.wtile_range(block_w, u);
       return detail::wave_faces_2d(p, wt, 1, inflow, ra, rb);
     };
-    auto total_of = [](const std::vector<Region<R>>& fs) {
-      std::size_t n = 0;
-      for (const auto& f : fs) n += static_cast<std::size_t>(f.size());
-      return n;
-    };
 
     for (Coord u = 0; u < mi; ++u) {
       for (Coord v = 0; v < mj; ++v) {
@@ -140,61 +135,41 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
         // Declaration order north-then-west is the body's unpack order.
         if (u == 0 && t.pred >= 0)
           task.inflows.push_back(
-              {t.pred, tag_n, total_of(faces2(plan, t, bw, bj, u, v, 0,
-                                              /*inflow=*/true))});
+              {t.pred, tag_n,
+               detail::faces_size(faces2(plan, t, bw, bj, u, v, 0,
+                                         /*inflow=*/true))});
         if (v == 0 && t.pred2 >= 0)
           task.inflows.push_back(
-              {t.pred2, tag_w, total_of(faces2(plan, t, bw, bj, u, v, 1,
-                                               /*inflow=*/true))});
+              {t.pred2, tag_w,
+               detail::faces_size(faces2(plan, t, bw, bj, u, v, 1,
+                                         /*inflow=*/true))});
 
         const bool charge = opts.charge;
         task.run = [&plan, tiling = t, wave_uses, faces2, bw, bj, mi, mj, u,
                     v, tile, charge, tag_n, tag_w](TaskContext& ctx) {
-          auto unpack_faces = [&](const std::vector<Region<R>>& fs,
-                                  std::span<const Real> payload) {
-            std::size_t off = 0;
-            for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-              const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-              if (n == 0) continue;
-              require(wave_uses[ui].array->region().contains(fs[ui]),
-                      "array '" + wave_uses[ui].name() +
-                          "' allocates too little fluff for the wave inflow "
-                          "face");
-              unpack_region(*wave_uses[ui].array, fs[ui],
-                            payload.subspan(off, n));
-              off += n;
-            }
-          };
-          auto pack_faces = [&](const std::vector<Region<R>>& fs,
-                                std::vector<Real>& buf) {
-            buf.clear();
-            for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-              if (fs[ui].size() == 0) continue;
-              require(wave_uses[ui].array->region().contains(fs[ui]),
-                      "array '" + wave_uses[ui].name() +
-                          "' allocates too little fluff for the wave outflow "
-                          "face");
-              pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-            }
-          };
-
           std::size_t pi = 0;
           if (u == 0 && tiling.pred >= 0)
-            unpack_faces(faces2(plan, tiling, bw, bj, u, v, 0, true),
-                         ctx.inflows[pi++]);
+            detail::unpack_faces(wave_uses,
+                                 faces2(plan, tiling, bw, bj, u, v, 0, true),
+                                 ctx.inflows[pi++]);
           if (v == 0 && tiling.pred2 >= 0)
-            unpack_faces(faces2(plan, tiling, bw, bj, u, v, 1, true),
-                         ctx.inflows[pi++]);
+            detail::unpack_faces(wave_uses,
+                                 faces2(plan, tiling, bw, bj, u, v, 1, true),
+                                 ctx.inflows[pi++]);
           run_serial_on(plan, tile);
           if (charge) ctx.comm.compute(static_cast<double>(tile.size()));
           if (u == mi - 1 && tiling.succ >= 0) {
             std::vector<Real> buf;
-            pack_faces(faces2(plan, tiling, bw, bj, u, v, 0, false), buf);
+            detail::pack_faces(wave_uses,
+                               faces2(plan, tiling, bw, bj, u, v, 0, false),
+                               buf);
             ctx.send(tiling.succ, std::span<const Real>(buf), tag_n);
           }
           if (v == mj - 1 && tiling.succ2 >= 0) {
             std::vector<Real> buf;
-            pack_faces(faces2(plan, tiling, bw, bj, u, v, 1, false), buf);
+            detail::pack_faces(wave_uses,
+                               faces2(plan, tiling, bw, bj, u, v, 1, false),
+                               buf);
             ctx.send(tiling.succ2, std::span<const Real>(buf), tag_w);
           }
         };
@@ -217,19 +192,6 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
   lw.block = b;
 
   const auto wave_uses = plan.wave_arrays();
-  // Takes the tiling as a parameter (instead of capturing `t`, a reference
-  // into the eventual return value) because task bodies value-capture this
-  // lambda and run long after lower_wavefront returns.
-  auto faces_for = [wave_uses](const WaveTiling<R>& wt, Coord block, Coord j,
-                               bool inflow) {
-    std::vector<Region<R>> fs;
-    const auto [ta, tb] = wt.tile_range(block, j);
-    fs.reserve(wave_uses.size());
-    for (const auto& u : wave_uses)
-      fs.push_back(detail::wave_face(wt.local, u, wt.w, wt.travel, inflow,
-                                     wt.tdim, ta, tb));
-    return fs;
-  };
 
   for (Coord j = 0; j < m; ++j) {
     TaskGraph::Task task;
@@ -238,41 +200,31 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
     task.cost = static_cast<double>(tile.size());
     task.diagonal = opts.base_diagonal + j;
 
-    if (t.pred >= 0) {
-      std::size_t total = 0;
-      for (const auto& f : faces_for(t, b, j, /*inflow=*/true))
-        total += static_cast<std::size_t>(f.size());
-      task.inflows.push_back({t.pred, wave_tag, total});
-    }
+    if (t.pred >= 0)
+      task.inflows.push_back(
+          {t.pred, wave_tag,
+           detail::faces_size(
+               detail::wave_faces_1d(wave_uses, t, b, j, /*inflow=*/true))});
 
     const bool charge = opts.charge;
     const int succ = t.succ;
-    task.run = [&plan, tiling = t, wave_uses, faces_for, b, j, tile, charge,
-                succ, wave_tag](TaskContext& ctx) {
-      if (tiling.pred >= 0) {
-        const auto fs = faces_for(tiling, b, j, /*inflow=*/true);
-        std::size_t off = 0;
-        for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-          const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-          require(wave_uses[ui].array->region().contains(fs[ui]),
-                  "array '" + wave_uses[ui].name() +
-                      "' allocates too little fluff for the wave inflow face");
-          unpack_region(*wave_uses[ui].array, fs[ui],
-                        ctx.inflow.subspan(off, n));
-          off += n;
-        }
-      }
+    // Captures the tiling by value (not `t`, a reference into the eventual
+    // return value): task bodies run long after lower_wavefront returns.
+    task.run = [&plan, tiling = t, wave_uses, b, j, tile, charge, succ,
+                wave_tag](TaskContext& ctx) {
+      if (tiling.pred >= 0)
+        detail::unpack_faces(
+            wave_uses,
+            detail::wave_faces_1d(wave_uses, tiling, b, j, /*inflow=*/true),
+            ctx.inflow);
       run_serial_on(plan, tile);
       if (charge) ctx.comm.compute(static_cast<double>(tile.size()));
       if (succ >= 0) {
         std::vector<Real> buf;
-        const auto fs = faces_for(tiling, b, j, /*inflow=*/false);
-        for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-          require(wave_uses[ui].array->region().contains(fs[ui]),
-                  "array '" + wave_uses[ui].name() +
-                      "' allocates too little fluff for the wave outflow face");
-          pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-        }
+        detail::pack_faces(
+            wave_uses,
+            detail::wave_faces_1d(wave_uses, tiling, b, j, /*inflow=*/false),
+            buf);
         ctx.send(succ, std::span<const Real>(buf), wave_tag);
       }
     };

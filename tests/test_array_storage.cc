@@ -169,10 +169,10 @@ TEST(ArrayStorage, ThreadsBuildAndDestroyConcurrently) {
   // other size's blocks interleave across threads.
   constexpr std::size_t kSizes[] = {kRecycleMinBytes,
                                     kRecycleMinBytes + 64 * sizeof(Real)};
-  constexpr int kThreads = 4, kRounds = 20;
+  constexpr int kWorkers = 4, kRounds = 20;
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
+  for (int t = 0; t < kWorkers; ++t)
     threads.emplace_back([t, &wrong, &kSizes] {
       for (int r = 0; r < kRounds; ++r) {
         const std::size_t bytes = kSizes[(t + r) % 2];

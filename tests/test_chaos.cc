@@ -746,7 +746,7 @@ TEST(Faults, UnreceivedMessagesEndUpInMailboxesAfterChaos) {
 
 TEST(Machine, InterceptorRequiresFiberEngine) {
   EngineConfig eng;
-  eng.kind = EngineKind::kThreads;
+  eng.kind = EngineKind::kParallel;
   Machine m(2, {}, TraceConfig{}, eng);
   FaultInjector injector(m, FaultPlan::from_seed(1, 2));
   m.set_delivery_interceptor(&injector);
@@ -755,9 +755,9 @@ TEST(Machine, InterceptorRequiresFiberEngine) {
   EXPECT_NO_THROW(m.run([](Communicator&) {}));
 }
 
-TEST(Machine, RandomSchedUnderThreadsEngineIsIgnoredButHarmless) {
+TEST(Machine, RandomSchedUnderParallelEngineIsIgnoredButHarmless) {
   EngineConfig eng;
-  eng.kind = EngineKind::kThreads;
+  eng.kind = EngineKind::kParallel;
   eng.sched.kind = SchedKind::kRandom;
   eng.sched.seed = 3;
   Machine m(2, {}, TraceConfig{}, eng);

@@ -1,11 +1,11 @@
-// Cross-engine equivalence: the cooperative-fiber engine, the threaded
-// engine, and the lock-free parallel engine must be observationally
-// identical — same computed data, same RunResult (vtime, phases, stats),
-// and byte-identical Chrome traces. Virtual times, stats, and trace stamps
-// depend only on per-rank program order and sender-computed arrival
-// stamps, so this holds by construction for every non-probe program; these
-// tests pin it down against regressions in any engine. The fiber engine is
-// the deterministic oracle the other two are measured against.
+// Cross-engine equivalence: the cooperative-fiber engine and the lock-free
+// parallel engine must be observationally identical — same computed data,
+// same RunResult (vtime, phases, stats), and byte-identical Chrome traces.
+// Virtual times, stats, and trace stamps depend only on per-rank program
+// order and sender-computed arrival stamps, so this holds by construction
+// for every non-probe program; these tests pin it down against regressions
+// in either engine. The fiber engine is the deterministic oracle the
+// parallel engine is measured against.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,52 +34,61 @@ struct EngineRun {
 };
 
 template <typename Fn>
-EngineRun run_engine(EngineKind kind, int p, CostModel cm, TraceConfig tc,
-                     Fn&& fn) {
+EngineRun run_engine(const EngineConfig& cfg, int p, CostModel cm,
+                     TraceConfig tc, Fn&& fn) {
   EngineRun out;
-  Machine m(p, cm, tc, engine(kind));
-  EXPECT_EQ(m.engine(), kind);  // no silent fallback on this platform
+  Machine m(p, cm, tc, cfg);
+  EXPECT_EQ(m.engine(), cfg.kind);  // no silent fallback on this platform
   out.result = m.run([&](Communicator& comm) { fn(comm, out.extracted); });
   return out;
 }
 
-void expect_equivalent(const EngineRun& th, const EngineRun& fi) {
-  EXPECT_EQ(th.result.vtime, fi.result.vtime);
-  EXPECT_EQ(th.result.vtime_max, fi.result.vtime_max);
-  EXPECT_EQ(th.result.stats.size(), fi.result.stats.size());
-  for (std::size_t r = 0; r < th.result.stats.size(); ++r)
-    EXPECT_EQ(th.result.stats[r], fi.result.stats[r]) << "stats rank " << r;
-  EXPECT_EQ(th.result.total, fi.result.total);
-  for (std::size_t r = 0; r < th.result.phases.size(); ++r)
-    EXPECT_EQ(th.result.phases[r], fi.result.phases[r]) << "phases rank " << r;
-  EXPECT_EQ(th.result.phases_total, fi.result.phases_total);
-  EXPECT_EQ(th.extracted, fi.extracted);
+template <typename Fn>
+EngineRun run_engine(EngineKind kind, int p, CostModel cm, TraceConfig tc,
+                     Fn&& fn) {
+  return run_engine(engine(kind), p, cm, tc, std::forward<Fn>(fn));
+}
 
-  ASSERT_EQ(th.result.traces.size(), fi.result.traces.size());
-  for (std::size_t r = 0; r < th.result.traces.size(); ++r) {
-    EXPECT_EQ(th.result.traces[r].dropped, fi.result.traces[r].dropped);
-    EXPECT_EQ(th.result.traces[r].events, fi.result.traces[r].events)
+void expect_equivalent(const EngineRun& a, const EngineRun& b) {
+  EXPECT_EQ(a.result.vtime, b.result.vtime);
+  EXPECT_EQ(a.result.vtime_max, b.result.vtime_max);
+  EXPECT_EQ(a.result.stats.size(), b.result.stats.size());
+  for (std::size_t r = 0; r < a.result.stats.size(); ++r)
+    EXPECT_EQ(a.result.stats[r], b.result.stats[r]) << "stats rank " << r;
+  EXPECT_EQ(a.result.total, b.result.total);
+  for (std::size_t r = 0; r < a.result.phases.size(); ++r)
+    EXPECT_EQ(a.result.phases[r], b.result.phases[r]) << "phases rank " << r;
+  EXPECT_EQ(a.result.phases_total, b.result.phases_total);
+  EXPECT_EQ(a.extracted, b.extracted);
+
+  ASSERT_EQ(a.result.traces.size(), b.result.traces.size());
+  for (std::size_t r = 0; r < a.result.traces.size(); ++r) {
+    EXPECT_EQ(a.result.traces[r].dropped, b.result.traces[r].dropped);
+    EXPECT_EQ(a.result.traces[r].events, b.result.traces[r].events)
         << "trace rank " << r;
   }
-  std::ostringstream a, b;
-  write_chrome_trace(a, th.result);
-  write_chrome_trace(b, fi.result);
-  EXPECT_EQ(a.str(), b.str());  // byte-identical export
+  std::ostringstream ja, jb;
+  write_chrome_trace(ja, a.result);
+  write_chrome_trace(jb, b.result);
+  EXPECT_EQ(ja.str(), jb.str());  // byte-identical export
 }
 
 template <typename Fn>
 void compare_engines(int p, CostModel cm, Fn&& fn) {
   TraceConfig tc;
   tc.enabled = true;
-  const auto th = run_engine(EngineKind::kThreads, p, cm, tc, fn);
   const auto fi = run_engine(EngineKind::kFibers, p, cm, tc, fn);
-  expect_equivalent(th, fi);
-  // The parallel engine inherits the threaded engine's guarantee (virtual
-  // time is a pure function of program order + sender stamps, whatever the
-  // physical interleaving), so for these non-probe workloads the whole
-  // RunResult — vtimes and traces included — must match the fiber oracle.
+  // Virtual time is a pure function of program order + sender stamps,
+  // whatever the physical interleaving, so for these non-probe workloads
+  // the parallel engine's whole RunResult — vtimes and traces included —
+  // must match the fiber oracle. Checked under two thread placements:
+  // pinned (the default) and unpinned (WAVEPIPE_PIN=0, OS-scheduled).
   const auto pa = run_engine(EngineKind::kParallel, p, cm, tc, fn);
   expect_equivalent(fi, pa);
+  EngineConfig unpinned = engine(EngineKind::kParallel);
+  unpinned.pin_threads = false;
+  const auto pu = run_engine(unpinned, p, cm, tc, fn);
+  expect_equivalent(fi, pu);
 }
 
 TEST(EngineEquivalence, PropertyWavefrontSweep) {
@@ -319,17 +328,19 @@ TEST(EngineEquivalence, CollectiveAndP2PStorm) {
 TEST(EngineEquivalence, ExceptionPropagation) {
   // A rank failure must poison the machine and rethrow the original
   // exception under every engine.
-  for (EngineKind kind : {EngineKind::kThreads, EngineKind::kFibers,
-                          EngineKind::kParallel}) {
-    Machine m(3, {}, TraceConfig{}, engine(kind));
+  EngineConfig unpinned = engine(EngineKind::kParallel);
+  unpinned.pin_threads = false;
+  for (const EngineConfig& cfg : {engine(EngineKind::kFibers),
+                                  engine(EngineKind::kParallel), unpinned}) {
+    Machine m(3, {}, TraceConfig{}, cfg);
     EXPECT_THROW(m.run([](Communicator& comm) {
                    if (comm.rank() == 2)
                      throw ConfigError("rank 2 exploded");
                    (void)comm.recv_value<int>(2);
                  }),
                  ConfigError)
-        << to_string(kind);
-    EXPECT_EQ(m.pending_messages(), 0u) << to_string(kind);
+        << to_string(cfg.kind);
+    EXPECT_EQ(m.pending_messages(), 0u) << to_string(cfg.kind);
   }
 }
 

@@ -1,6 +1,7 @@
 // Fiber-engine robustness: engine selection from the environment, stack
 // sizing and clamping, typed errors for stack overflow and communication
-// deadlock (conditions the threaded engine would SIGSEGV or hang on).
+// deadlock (conditions an engine of OS threads would SIGSEGV or hang on),
+// and the typed error for a wait no engine could ever end.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -40,7 +41,6 @@ class EnvGuard {
 };
 
 TEST(FiberEngine, ToStringNames) {
-  EXPECT_STREQ(to_string(EngineKind::kThreads), "threads");
   EXPECT_STREQ(to_string(EngineKind::kFibers), "fibers");
   EXPECT_STREQ(to_string(EngineKind::kParallel), "parallel");
 }
@@ -59,8 +59,8 @@ TEST(FiberEngine, FromEnvDefaultsToFibers) {
 
 TEST(FiberEngine, FromEnvSelectsEngine) {
   {
-    EnvGuard e("WAVEPIPE_ENGINE", "threads");
-    EXPECT_EQ(EngineConfig::from_env().kind, EngineKind::kThreads);
+    EnvGuard e("WAVEPIPE_ENGINE", "");
+    EXPECT_EQ(EngineConfig::from_env().kind, EngineKind::kFibers);
   }
   {
     EnvGuard e("WAVEPIPE_ENGINE", "fibers");
@@ -70,18 +70,19 @@ TEST(FiberEngine, FromEnvSelectsEngine) {
     EnvGuard e("WAVEPIPE_ENGINE", "parallel");
     EXPECT_EQ(EngineConfig::from_env().kind, EngineKind::kParallel);
   }
-  {
-    EnvGuard e("WAVEPIPE_ENGINE", "green-threads");
-    // The rejection must name the full valid set.
+  // "threads" is not an engine: it is rejected like any unknown name, and
+  // the rejection must name the full valid set.
+  for (const char* bad : {"threads", "green-threads"}) {
+    EnvGuard e("WAVEPIPE_ENGINE", bad);
     try {
       (void)EngineConfig::from_env();
-      FAIL() << "unknown engine accepted";
+      FAIL() << "unknown engine '" << bad << "' accepted";
     } catch (const ConfigError& err) {
       const std::string what = err.what();
-      EXPECT_NE(what.find("threads"), std::string::npos) << what;
-      EXPECT_NE(what.find("fibers"), std::string::npos) << what;
-      EXPECT_NE(what.find("parallel"), std::string::npos) << what;
-      EXPECT_NE(what.find("green-threads"), std::string::npos) << what;
+      EXPECT_NE(what.find("'fibers' or 'parallel'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
     }
   }
 }
@@ -126,9 +127,9 @@ TEST(FiberEngine, FromEnvParsesStackSizes) {
 }
 
 TEST(FiberEngine, MachineHonoursEngineEnv) {
-  EnvGuard e("WAVEPIPE_ENGINE", "threads");
+  EnvGuard e("WAVEPIPE_ENGINE", "parallel");
   Machine m(2);
-  EXPECT_EQ(m.engine(), EngineKind::kThreads);
+  EXPECT_EQ(m.engine(), EngineKind::kParallel);
 }
 
 TEST(FiberEngine, MachineClampsTinyStacks) {
@@ -146,8 +147,8 @@ TEST(FiberEngine, MachineClampsTinyStacks) {
 }
 
 TEST(FiberEngine, DeadlockThrowsTypedError) {
-  // Both ranks receive first: the threaded engine would hang forever; the
-  // fiber engine sees that every rank is blocked and reports it.
+  // Both ranks receive first: real threads would hang forever; the fiber
+  // engine sees that every rank is blocked and reports it.
   EngineConfig cfg;
   cfg.kind = EngineKind::kFibers;
   Machine m(2, {}, TraceConfig{}, cfg);
@@ -206,6 +207,42 @@ TEST(FiberEngine, GenerousStackSurvivesTheSameWorkload) {
     comm.send_value(0, static_cast<int>(pad[0]));
     EXPECT_EQ(comm.recv_value<int>(0), 1);
   });
+  EXPECT_EQ(m.pending_messages(), 0u);
+}
+
+TEST(FiberEngine, SingleRankWaitThatCanNeverEndIsTypedError) {
+  // A single-rank run executes inline with no engine attached, and a rank
+  // may not receive from itself: a wait whose condition is false can never
+  // be satisfied, so it must fail typed instead of hanging — on every
+  // engine setting.
+  for (EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel}) {
+    EngineConfig cfg;
+    cfg.kind = kind;
+    Machine m(1, {}, TraceConfig{}, cfg);
+    EXPECT_THROW(m.run([](Communicator& comm) {
+                   comm.block_until([] { return false; });
+                 }),
+                 EngineError)
+        << to_string(kind);
+    // A satisfied wait still returns at once.
+    EXPECT_NO_THROW(m.run([](Communicator& comm) {
+      comm.block_until([] { return true; });
+    }));
+  }
+}
+
+TEST(FiberEngine, MailboxWaitOutsideARunIsTypedErrorAndLeavesNoSlot) {
+  // Between runs no engine is attached: a blocking receive on a mailbox
+  // throws EngineError and unregisters its posted slot on the way out.
+  Machine m(2);
+  EXPECT_THROW((void)m.mailbox(0).await(1, 7), EngineError);
+  EXPECT_EQ(m.mailbox(0).posted_summary(), "");
+  // A message a run left queued is taken without blocking.
+  m.run([](Communicator& comm) {
+    if (comm.rank() == 1) comm.send_value(0, 5, 7);
+  });
+  EXPECT_EQ(m.pending_messages(), 1u);
+  EXPECT_EQ(m.mailbox(0).await(1, 7).elements, 1u);
   EXPECT_EQ(m.pending_messages(), 0u);
 }
 

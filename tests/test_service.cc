@@ -233,12 +233,16 @@ TEST(SweepService, CacheHitIsByteIdenticalAcrossPolicies) {
 
 TEST(SweepService, CacheHitMatchesColdOnEveryEngine) {
   const CostModel costs = test_costs();
-  for (const EngineKind kind :
-       {EngineKind::kFibers, EngineKind::kThreads, EngineKind::kParallel}) {
+  // The parallel engine runs twice: pinned (the default) and unpinned
+  // (WAVEPIPE_PIN=0), two different thread placements.
+  for (const auto& [kind, pin] : {std::pair{EngineKind::kFibers, true},
+                                  std::pair{EngineKind::kParallel, true},
+                                  std::pair{EngineKind::kParallel, false}}) {
     ServiceConfig cfg;
     cfg.ranks = 4;
     cfg.costs = costs;
     cfg.engine.kind = kind;
+    cfg.engine.pin_threads = pin;
     SweepService svc(cfg);
     JobParams params;
     params.app = "tomcatv";
