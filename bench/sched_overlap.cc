@@ -17,7 +17,7 @@
 //
 // On exit the binary always writes BENCH_sched.json with the
 // sequential-vs-overlapped comparison at p in {2, 4, 8}. Virtual times
-// are deterministic (the scheduler runs in its default adaptive mode, but
+// are deterministic (the scheduler runs its default adaptive policy, but
 // under the default earliest-vtime fiber schedule arrival order is a pure
 // function of the cost model), so the report is exactly reproducible and
 // CI gates on it: overlapped must never lose, and must cut >= 10% off
@@ -198,11 +198,10 @@ void write_json(const std::string& path, const MachinePreset& machine,
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const MachinePreset machine = t3e_like();
-  // Default off-env so a stray WAVEPIPE_SCHED_ADAPTIVE=0 in the caller's
-  // environment cannot turn the CI gate into a static-mode comparison.
+  // Default off-env so a stray WAVEPIPE_SCHED_POLICY=static in the
+  // caller's environment cannot turn the CI gate into a static comparison.
   SchedOptions sched;
   sched.policy = SchedPolicy::kCriticalPath;
-  sched.adaptive = true;
 
   Sweep3dConfig s3cfg;
   s3cfg.n = opts.get_int("n3", 16);

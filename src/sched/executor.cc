@@ -15,6 +15,8 @@ namespace wavepipe {
 
 const char* to_string(SchedPolicy p) {
   switch (p) {
+    case SchedPolicy::kStatic:
+      return "static";
     case SchedPolicy::kFifo:
       return "fifo";
     case SchedPolicy::kDiagonal:
@@ -35,11 +37,22 @@ const char* to_string(SchedBackend b) {
   return "?";
 }
 
+namespace {
+
+constexpr const char* kValidCombinations =
+    ". Valid combinations: backend 'spmd' with any engine and policy, or "
+    "backend 'tasks' with WAVEPIPE_ENGINE=parallel and policy 'fifo', "
+    "'diagonal' or 'critical'";
+
+}  // namespace
+
 SchedOptions SchedOptions::from_env() {
   SchedOptions opts;
   if (const char* v = std::getenv("WAVEPIPE_SCHED_POLICY")) {
     const std::string s(v);
-    if (s == "fifo") {
+    if (s == "static") {
+      opts.policy = SchedPolicy::kStatic;
+    } else if (s == "fifo") {
       opts.policy = SchedPolicy::kFifo;
     } else if (s == "diagonal") {
       opts.policy = SchedPolicy::kDiagonal;
@@ -47,31 +60,9 @@ SchedOptions SchedOptions::from_env() {
       opts.policy = SchedPolicy::kCriticalPath;
     } else {
       throw ConfigError(
-          "WAVEPIPE_SCHED_POLICY expects 'fifo', 'diagonal' or 'critical', "
-          "got '" +
+          "WAVEPIPE_SCHED_POLICY expects 'static', 'fifo', 'diagonal' or "
+          "'critical', got '" +
           s + "'");
-    }
-  }
-  if (const char* v = std::getenv("WAVEPIPE_SCHED_ADAPTIVE")) {
-    const std::string s(v);
-    if (s == "0") {
-      opts.adaptive = false;
-    } else if (s == "1" || s.empty()) {
-      opts.adaptive = true;
-    } else {
-      throw ConfigError("WAVEPIPE_SCHED_ADAPTIVE expects '0' or '1', got '" +
-                        s + "'");
-    }
-  }
-  if (const char* v = std::getenv("WAVEPIPE_SCHED_UNSAFE_STATIC")) {
-    const std::string s(v);
-    if (s == "0") {
-      opts.allow_unsafe_static = false;
-    } else if (s == "1" || s.empty()) {
-      opts.allow_unsafe_static = true;
-    } else {
-      throw ConfigError(
-          "WAVEPIPE_SCHED_UNSAFE_STATIC expects '0' or '1', got '" + s + "'");
     }
   }
   if (const char* v = std::getenv("WAVEPIPE_SCHED_BACKEND")) {
@@ -85,23 +76,26 @@ SchedOptions SchedOptions::from_env() {
                         "got '" + s + "'");
     }
   }
-  // Cross-validate against an explicit engine selection: the tasks backend
-  // only exists on the parallel engine's threads, and a silent SPMD
-  // fallback would quietly discard the configuration the user asked for.
-  // run_graph re-checks against the machine that actually runs (the
-  // authoritative gate); this early check catches the env-vs-env conflict
-  // at configuration time, before any machine exists. The engine value goes
-  // through the comm layer's parser, so an unknown engine fails with the
-  // same valid-set message EngineConfig::from_env gives.
+  // Cross-validate the tasks backend against the policy and an explicit
+  // engine selection: it only runs adaptive policies on the parallel
+  // engine's threads, and a silent SPMD fallback would quietly discard the
+  // configuration the user asked for. run_graph re-checks against the
+  // machine that actually runs (the authoritative gate); this early check
+  // catches the env-vs-env conflict at configuration time, before any
+  // machine exists. The engine value goes through the comm layer's
+  // parser, so an unknown engine fails with the same valid-set message
+  // EngineConfig::from_env gives.
   if (opts.backend == SchedBackend::kTasks) {
+    if (opts.policy == SchedPolicy::kStatic)
+      throw ConfigError(
+          "WAVEPIPE_SCHED_BACKEND=tasks cannot run "
+          "WAVEPIPE_SCHED_POLICY=static" + std::string(kValidCombinations));
     if (const char* e = std::getenv("WAVEPIPE_ENGINE")) {
       const std::string s(e);
       if (!s.empty() && parse_engine_kind(s) != EngineKind::kParallel) {
         throw ConfigError(
             "WAVEPIPE_SCHED_BACKEND=tasks requires the parallel engine, but "
-            "WAVEPIPE_ENGINE='" + s +
-            "'. Valid combinations: backend 'spmd' with any engine, or "
-            "backend 'tasks' with WAVEPIPE_ENGINE=parallel");
+            "WAVEPIPE_ENGINE='" + s + "'" + kValidCombinations);
       }
     }
   }
@@ -145,34 +139,37 @@ GraphAnalysis analyze_graph(const TaskGraph& graph, SchedPolicy policy) {
   return a;
 }
 
-void check_static_safe(const TaskGraph& graph, const SchedOptions& opts) {
-  // Fail fast on the cross-rank deadlock caveat (executor.hh header): a
-  // static non-FIFO pick order over a graph that blocks on another rank's
-  // sends can deadlock in ways this rank cannot detect from its own graph,
-  // so refuse before running anything rather than hang (parallel engine)
-  // or unwind mid-graph (fiber engine's detector).
-  if (opts.adaptive || opts.policy == SchedPolicy::kFifo ||
-      opts.allow_unsafe_static)
-    return;
-  const std::size_t n = graph.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const TaskGraph::Task& task = graph.task(static_cast<TaskId>(i));
-    if (task.inflows.empty()) continue;
-    throw SchedError(
-        "static " + std::string(to_string(opts.policy)) +
-        " scheduling over a cross-rank graph (task '" + task.label +
-        "' has inflow from rank " + std::to_string(task.inflows.front().src) +
-        ") can deadlock: the pick order may block a receive ahead of the "
-        "send its peer needs. Use adaptive mode, the fifo policy, or set "
-        "SchedOptions::allow_unsafe_static / WAVEPIPE_SCHED_UNSAFE_STATIC=1 "
-        "after verifying the global schedule is consistent");
-  }
+void check_backend(const SchedOptions& opts, EngineKind engine) {
+  if (opts.backend != SchedBackend::kTasks) return;
+  // Whatever the env said, the machine that is actually running decides.
+  // Never a silent SPMD fallback.
+  if (engine != EngineKind::kParallel)
+    throw ConfigError(
+        "SchedOptions::backend=tasks requires the parallel engine, but "
+        "this machine runs '" +
+        std::string(to_string(engine)) + "'" + kValidCombinations);
+  if (opts.policy == SchedPolicy::kStatic)
+    throw ConfigError(
+        "SchedOptions::backend=tasks cannot run SchedPolicy::kStatic" +
+        std::string(kValidCombinations));
+}
+
+std::string describe_stuck_task(const TaskGraph& graph, TaskId t) {
+  const TaskGraph::Task& task = graph.task(t);
+  std::ostringstream os;
+  os << "task '" << task.label << "' (";
+  for (std::size_t k = 0; k < task.inflows.size(); ++k)
+    os << (k ? ", " : "") << "inflow src=" << task.inflows[k].src
+       << " tag=" << task.inflows[k].tag;
+  os << ")";
+  return os.str();
 }
 
 std::pair<double, TaskId> task_key(const TaskGraph& graph,
                                    const GraphAnalysis& analysis,
                                    SchedPolicy policy, TaskId t) {
   switch (policy) {
+    case SchedPolicy::kStatic:
     case SchedPolicy::kFifo:
       return {0.0, t};
     case SchedPolicy::kDiagonal:
@@ -214,6 +211,7 @@ class SchedExecutor : public TaskSink {
   const TaskGraph& graph_;
   Communicator& comm_;
   const SchedOptions opts_;
+  const bool static_ = opts_.policy == SchedPolicy::kStatic;
 
   sched_internal::GraphAnalysis analysis_;
   std::vector<int> deps_;
@@ -235,7 +233,7 @@ class SchedExecutor : public TaskSink {
 
 void SchedExecutor::release(TaskId t) {
   const TaskGraph::Task& task = graph_.task(t);
-  if (opts_.adaptive && !task.inflows.empty()) {
+  if (!static_ && !task.inflows.empty()) {
     auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
     bufs.resize(task.inflows.size());
     for (std::size_t k = 0; k < task.inflows.size(); ++k) {
@@ -249,9 +247,9 @@ void SchedExecutor::release(TaskId t) {
         static_cast<int>(task.inflows.size());
     report_.max_posted = std::max(report_.max_posted, pending_.size());
   } else {
-    // Static mode posts the irecv lazily, when the policy picks the task —
-    // a blocking wait at that point charges the identical virtual time and
-    // keeps the pick order independent of physical arrival.
+    // kStatic posts the irecv lazily, when the task is picked — a blocking
+    // wait at that point charges the identical virtual time and keeps the
+    // pick order independent of physical arrival.
     ready_.push({key(t), t});
   }
 }
@@ -260,8 +258,8 @@ void SchedExecutor::run_task(TaskId t) {
   const TaskGraph::Task& task = graph_.task(t);
   auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
   const double t0 = comm_.vtime();
-  if (!opts_.adaptive && !task.inflows.empty()) {
-    // Static mode receives the inflows blocking, one by one in declaration
+  if (static_ && !task.inflows.empty()) {
+    // kStatic receives the inflows blocking, one by one in declaration
     // order — the deterministic schedule every rank can replay.
     bufs.resize(task.inflows.size());
     for (std::size_t k = 0; k < task.inflows.size(); ++k) {
@@ -300,23 +298,16 @@ void SchedExecutor::run_task(TaskId t) {
 
 void SchedExecutor::rethrow_deadlock(const std::vector<TaskId>& stuck,
                                      const Error& cause) const {
-  std::ostringstream os;
-  os << "scheduler deadlock on rank " << comm_.rank() << ": stuck on ";
-  bool first = true;
+  std::string msg = "scheduler deadlock on rank " +
+                    std::to_string(comm_.rank()) + ": stuck on ";
   TaskId prev = kNoTask;
   for (const TaskId id : stuck) {
     if (id == prev) continue;  // a task pends once per inflow; name it once
+    if (prev != kNoTask) msg += ", ";
     prev = id;
-    const TaskGraph::Task& task = graph_.task(id);
-    os << (first ? "" : ", ") << "task '" << task.label << "' (";
-    for (std::size_t k = 0; k < task.inflows.size(); ++k)
-      os << (k ? ", " : "") << "inflow src=" << task.inflows[k].src
-         << " tag=" << task.inflows[k].tag;
-    os << ")";
-    first = false;
+    msg += sched_internal::describe_stuck_task(graph_, id);
   }
-  os << "; " << cause.what();
-  throw SchedError(os.str());
+  throw SchedError(msg + "; " + cause.what());
 }
 
 SchedReport SchedExecutor::run() {
@@ -324,11 +315,9 @@ SchedReport SchedExecutor::run() {
   report_.tasks = n;
   report_.edges = graph_.edges();
   report_.policy = opts_.policy;
-  report_.adaptive = opts_.adaptive;
   report_.backend = SchedBackend::kSpmd;
   analysis_ = sched_internal::analyze_graph(graph_, opts_.policy);
   deps_ = analysis_.deps;
-  sched_internal::check_static_safe(graph_, opts_);
   inflow_buf_.resize(n);
   missing_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i)
@@ -346,7 +335,7 @@ SchedReport SchedExecutor::run() {
 
   std::size_t done = 0;
   while (done < n) {
-    if (opts_.adaptive) {
+    if (!static_) {
       // Promote every pending task all of whose inflows have physically
       // arrived; test() consumes a request without advancing the clock.
       for (std::size_t i = 0; i < pending_.size();) {
@@ -409,21 +398,12 @@ SchedReport SchedExecutor::run() {
 
 SchedReport run_graph(const TaskGraph& graph, Communicator& comm,
                       const SchedOptions& opts) {
-  if (opts.backend == SchedBackend::kTasks) {
-    // Authoritative engine gate: whatever the env said, the machine that is
-    // actually running decides. Never a silent SPMD fallback.
-    if (comm.machine().engine() != EngineKind::kParallel)
-      throw ConfigError(
-          "SchedOptions::backend=tasks requires the parallel engine, but "
-          "this machine runs '" +
-          std::string(to_string(comm.machine().engine())) +
-          "'. Valid combinations: backend 'spmd' with any engine, or "
-          "backend 'tasks' with WAVEPIPE_ENGINE=parallel");
-    if (comm.size() > 1) return run_graph_tasks(graph, comm, opts);
-    // A one-rank machine runs inline on the calling thread (no worker
-    // pool exists), so the tasks backend degenerates to the SPMD walk —
-    // same single thread, same order, same result.
-  }
+  sched_internal::check_backend(opts, comm.machine().engine());
+  // A one-rank machine runs inline on the calling thread (no worker pool
+  // exists), so the tasks backend degenerates to the SPMD walk — same
+  // single thread, same order, same result.
+  if (opts.backend == SchedBackend::kTasks && comm.size() > 1)
+    return run_graph_tasks(graph, comm, opts);
   SchedExecutor exec(graph, comm, opts);
   // The report's backend field stays kSpmd here even when kTasks was
   // requested on a one-rank machine: it names the executor that actually

@@ -10,41 +10,28 @@
 // settled in posting order after the graph drains, so the send engine
 // overlaps under later tiles exactly as WaveOptions::overlap does.
 //
-// Two arrival modes:
+// Two kinds of policy:
 //
-//   * adaptive (default): pending tasks whose inflow has arrived (test())
-//     are promoted into the ready set, and the policy picks among
-//     everything runnable; only when nothing is runnable does the rank
-//     block in wait_any over every posted inflow. This is the dataflow
-//     behaviour — the rank never stalls while any tile can run. It is
-//     probe-class: *results* are byte-identical under any schedule or
-//     fault plan (payloads and reduction order are fixed by the graph),
-//     but virtual times may legitimately differ under chaos because the
-//     pick order observes physical arrival.
+//   * kStatic: task-id order, ignoring physical arrival; each inflow is
+//     received blocking, in declaration order, when its task is picked.
+//     This is the paper's pipelined schedule (receive the face, compute
+//     the tile, send) as an arrival-blind order per rank, and the entire
+//     RunResult — vtimes, phases, stats, traces — is a pure function of
+//     the graph: byte-identical under every fiber schedule and fault
+//     plan, like the blocking executors. It is deadlock-free whenever
+//     tasks are constructed in sequential-program order, as the lowering
+//     helpers do. SPMD backend only.
 //
-//   * static: the policy picks over released tasks ignoring physical
-//     arrival, and blocks (wait) on the chosen task's inflow. The entire
-//     RunResult — vtimes, phases, stats, traces — is then a pure function
-//     of the graph and the policy: byte-identical under every fiber
-//     schedule and fault plan, like the blocking executors.
-//
-//     Caveat: static blocking is only deadlock-free when every rank's pick
-//     order embeds into one global schedule. kFifo is safe whenever tasks
-//     are constructed in sequential-program order (as the lowering helpers
-//     do); priority policies may rank a receive above the send its peer is
-//     waiting on and deadlock even though the graph is acyclic. Adaptive
-//     mode has no such failure (it blocks only when *nothing* can run),
-//     which is one more reason it is the default.
-//
-//     Because that failure depends on the *other* ranks' graphs — which
-//     this rank cannot see — the executor fails fast: a static non-FIFO
-//     run over a graph with any cross-rank inflow throws a typed
-//     SchedError before executing a single task, instead of gambling on a
-//     runtime deadlock. Callers who know their global schedule is
-//     consistent (e.g. every rank releases sends before priority-inverted
-//     receives, as the wavefront lowerings do) opt back in with
-//     SchedOptions::allow_unsafe_static, and a deadlock that does occur is
-//     then still reported, not hung: see below.
+//   * kFifo, kDiagonal, kCriticalPath (adaptive): pending tasks whose
+//     inflows have arrived (test()) are promoted into the ready set, and
+//     the policy's key picks among everything runnable; only when nothing
+//     is runnable does the rank block in wait_any over every posted
+//     inflow. This is the dataflow behaviour — the rank never stalls
+//     while any tile can run. It is probe-class: *results* are
+//     byte-identical under any schedule or fault plan (payloads and
+//     reduction order are fixed by the graph), but virtual times may
+//     legitimately differ under chaos because the pick order observes
+//     physical arrival.
 //
 // Either way the computed data is bit-identical to sequential execution,
 // because payload bytes are FIFO per (src, tag) and every
@@ -57,6 +44,7 @@
 // unwind rethrows SchedError naming the same task(s).
 #pragma once
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,12 +53,15 @@
 namespace wavepipe {
 
 class Communicator;
+enum class EngineKind;
 
 /// How the ready set is ordered.
 enum class SchedPolicy {
-  kFifo,          // insertion order (task id): mirrors sequential execution
-  kDiagonal,      // smallest wavefront-diagonal key first
-  kCriticalPath,  // longest remaining cost-weighted path first (default)
+  kStatic,        // task-id order, inflows received blocking: schedule-blind
+  kFifo,          // adaptive, insertion order (task id) first
+  kDiagonal,      // adaptive, smallest wavefront-diagonal key first
+  kCriticalPath,  // adaptive, longest remaining cost-weighted path first
+                  // (default)
 };
 
 const char* to_string(SchedPolicy p);
@@ -83,9 +74,9 @@ enum class SchedBackend {
   /// Work-stealing task pool (sched/parallel_executor): ready tasks — not
   /// ranks — map onto the parallel engine's worker threads, so an idle
   /// worker whose rank's wavefront stalled steals another rank's runnable
-  /// tile. Requires WAVEPIPE_ENGINE=parallel; produces byte-identical
-  /// values (and, for static-FIFO graphs, byte-identical vtimes) to the
-  /// SPMD backend — wall_seconds is where the difference shows.
+  /// tile. Requires WAVEPIPE_ENGINE=parallel and an adaptive policy;
+  /// produces byte-identical values to the SPMD backend — wall_seconds
+  /// is where the difference shows.
   kTasks,
 };
 
@@ -93,26 +84,15 @@ const char* to_string(SchedBackend b);
 
 struct SchedOptions {
   SchedPolicy policy = SchedPolicy::kCriticalPath;
-  /// Arrival-aware task pickup (see header comment). Probe-class when
-  /// true; fully schedule/fault-invariant when false.
-  bool adaptive = true;
-  /// Static non-FIFO schedules can deadlock across ranks (header caveat),
-  /// so by default run_graph refuses such a schedule over any graph with a
-  /// cross-rank inflow — a SchedError *before* execution. Set true (or
-  /// WAVEPIPE_SCHED_UNSAFE_STATIC=1) to assert the global pick order is
-  /// consistent and run anyway.
-  bool allow_unsafe_static = false;
   /// Executor backend (see SchedBackend). kTasks needs the parallel
-  /// engine: run_graph throws a typed ConfigError — never a silent SPMD
-  /// fallback — when the machine runs fibers.
+  /// engine and an adaptive policy: run_graph throws a typed ConfigError —
+  /// never a silent SPMD fallback — for any other combination.
   SchedBackend backend = SchedBackend::kSpmd;
 
-  /// WAVEPIPE_SCHED_POLICY=fifo|diagonal|critical selects the policy;
-  /// WAVEPIPE_SCHED_ADAPTIVE=0|1 selects the arrival mode;
-  /// WAVEPIPE_SCHED_UNSAFE_STATIC=0|1 opts into static non-FIFO over
-  /// cross-rank graphs; WAVEPIPE_SCHED_BACKEND=spmd|tasks selects the
-  /// executor backend (tasks additionally cross-validates against an
-  /// explicit non-parallel WAVEPIPE_ENGINE — the combination is a
+  /// WAVEPIPE_SCHED_POLICY=static|fifo|diagonal|critical selects the
+  /// policy; WAVEPIPE_SCHED_BACKEND=spmd|tasks selects the executor
+  /// backend (tasks additionally cross-validates against the policy and
+  /// an explicit non-parallel WAVEPIPE_ENGINE — either conflict is a
   /// ConfigError here, before any machine exists). (Distinct from
   /// WAVEPIPE_SCHED, which seeds the *fiber* scheduler.) Unparseable
   /// values throw ConfigError.
@@ -123,11 +103,10 @@ struct SchedReport {
   std::size_t tasks = 0;
   std::size_t edges = 0;
   SchedPolicy policy = SchedPolicy::kCriticalPath;
-  bool adaptive = true;
   /// Times the policy ran an arrived task while an earlier-priority task
   /// was still pending — the overlap the dataflow scheduler recovered.
   std::size_t overtakes = 0;
-  /// Blocking waits (ready set empty, or static-mode inflow waits).
+  /// Blocking waits (ready set empty, or kStatic inflow waits).
   std::size_t blocked_waits = 0;
   /// High-water mark of simultaneously posted inflow irecvs.
   std::size_t max_posted = 0;
@@ -162,10 +141,14 @@ struct GraphAnalysis {
 /// it) and fills priorities when the policy needs them.
 GraphAnalysis analyze_graph(const TaskGraph& graph, SchedPolicy policy);
 
-/// The fail-fast guard for static non-FIFO schedules over cross-rank
-/// graphs (see the header comment's caveat): throws SchedError unless the
-/// combination is safe or explicitly allowed.
-void check_static_safe(const TaskGraph& graph, const SchedOptions& opts);
+/// The authoritative backend gate, shared by run_graph and
+/// run_recoverable: throws ConfigError naming the valid combinations
+/// unless `opts` can run on a machine of engine `engine`.
+void check_backend(const SchedOptions& opts, EngineKind engine);
+
+/// "task '<label>' (inflow src=S tag=T, ...)": how every deadlock report
+/// names a stuck task.
+std::string describe_stuck_task(const TaskGraph& graph, TaskId t);
 
 /// The policy's total order: smaller key runs first, ties break toward the
 /// smaller (earlier) task id.

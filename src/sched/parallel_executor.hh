@@ -15,13 +15,10 @@
 // to the SPMD/fiber oracle under every steal schedule — conflicting task
 // pairs are edge-ordered by construction (any-topological-order
 // determinism already requires it), and per-(src, tag) message FIFO is
-// preserved because same-key tasks are edge-chained. Adaptive mode is
-// probe-class: virtual times may differ from the SPMD backend because the
-// pick order observes physical arrival. Static mode holds the rank's
-// operation lock across each whole task and picks in the policy's
-// arrival-blind order, reproducing the SPMD backend's per-rank operation
-// sequence exactly — vtimes, stats, phases, and traces are then
-// byte-identical too. Either way wall_seconds is where the win shows.
+// preserved because same-key tasks are edge-chained. The backend runs the
+// adaptive policies only and is values-only: virtual times may differ
+// from the SPMD backend because the pick order observes physical arrival.
+// wall_seconds is where the win shows.
 #pragma once
 
 #include <atomic>
@@ -120,8 +117,7 @@ struct AdoptionDriver;
 /// worker polls its rank's kill flag, a killed rank departs the arena
 /// without failing the round (its remaining items are dropped and its
 /// corpse adopted via `drv`), and the deadlock detector stands down while
-/// a death is being recovered. Requires opts.adaptive (the caller,
-/// run_recoverable, already enforces it).
+/// a death is being recovered.
 SchedReport run_graph_tasks_recoverable(const TaskGraph& graph,
                                         Communicator& comm,
                                         const SchedOptions& opts,

@@ -453,7 +453,6 @@ SchedReport RecoveryExecutor::run() {
   report_.tasks = n;
   report_.edges = graph_.edges();
   report_.policy = opts_.policy;
-  report_.adaptive = true;
   report_.backend = SchedBackend::kSpmd;
   analysis_ = sched_internal::analyze_graph(graph_, opts_.policy);
   deps_ = analysis_.deps;
@@ -576,32 +575,21 @@ SchedReport run_recoverable(Communicator& comm, RecoveryCoordinator& rc,
                             const SchedOptions& opts) {
   require(rc.attached() && &rc.machine() == &comm.machine(),
           "run_recoverable needs the coordinator attached to this machine");
-  if (!opts.adaptive)
+  if (opts.policy == SchedPolicy::kStatic)
     throw SchedError(
         "static scheduling is unrecoverable: the pick order issues blocking "
         "receives with no posted-set to harvest at a kill point and no "
         "record of which same-key message the next pick would have matched. "
-        "Recovery requires SchedOptions::adaptive (see DESIGN.md §16)");
+        "Recovery requires an adaptive policy (see DESIGN.md §16)");
+  sched_internal::check_backend(opts, comm.machine().engine());
   Machine& m = comm.machine();
   const int rank = comm.rank();
   recovery_internal::AdoptionDriver drv(rc, comm);
   SchedReport report;
   try {
     RankProgram prog = rc.build(rank);
-    if (opts.backend == SchedBackend::kTasks) {
-      if (m.engine() != EngineKind::kParallel)
-        throw ConfigError(
-            "SchedOptions::backend=tasks requires the parallel engine, but "
-            "this machine runs '" +
-            std::string(to_string(m.engine())) +
-            "'. Valid combinations: backend 'spmd' with any engine, or "
-            "backend 'tasks' with WAVEPIPE_ENGINE=parallel");
-      if (comm.size() > 1) {
-        report = run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv);
-      } else {
-        RecoveryExecutor exec(prog.graph, comm, opts, rc, drv);
-        report = exec.run();
-      }
+    if (opts.backend == SchedBackend::kTasks && comm.size() > 1) {
+      report = run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv);
     } else {
       RecoveryExecutor exec(prog.graph, comm, opts, rc, drv);
       report = exec.run();

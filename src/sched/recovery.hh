@@ -26,13 +26,12 @@
 // bounded: one payload copy per consumed inflow of a not-yet-collected
 // rank, O(faces) per rank, freed with the coordinator.
 //
-// Only adaptive mode is recoverable. Static mode's pick order issues
+// Only the adaptive policies are recoverable. SchedPolicy::kStatic issues
 // *blocking* receives at pick time — at a kill point mid-task there is no
 // posted-set to harvest and no record of which same-key message the next
-// blocking recv would have matched, and a non-FIFO static order can
-// deadlock across ranks even fault-free (see check_static_safe). Recovery
-// therefore fails fast (typed SchedError) on !opts.adaptive rather than
-// pretend. DESIGN.md §16 has the full contract.
+// blocking recv would have matched. Recovery therefore fails fast (typed
+// SchedError) on kStatic rather than pretend. DESIGN.md §16 has the full
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -283,8 +282,9 @@ struct AdoptionDriver {
 /// has finished — so a late kill always still has live ranks to adopt the
 /// corpse. Dispatches on opts.backend exactly like run_graph: kSpmd runs
 /// the sequential recovery executor (any engine), kTasks the work-stealing
-/// arena (parallel engine only). Requires opts.adaptive (typed SchedError
-/// otherwise — see the header comment) and an attached coordinator.
+/// arena (parallel engine only). Requires an adaptive policy (kStatic is
+/// a typed SchedError — see the header comment) and an attached
+/// coordinator.
 ///
 /// On this rank's own death the RankDeath escapes this call after the
 /// harvest/mark-dead protocol ran; the caller must let it unwind into the

@@ -197,10 +197,10 @@ INSTANTIATE_TEST_SUITE_P(
 // multi-inflow tasks (north + west faces) across backends and policies.
 class SwTwoDScheduled
     : public ::testing::TestWithParam<
-          std::tuple<std::array<int, 2>, SchedBackend, SchedPolicy, bool>> {};
+          std::tuple<std::array<int, 2>, SchedBackend, SchedPolicy>> {};
 
 TEST_P(SwTwoDScheduled, PerCellBitwiseMatchesSerial) {
-  const auto [dims, backend, policy, adaptive] = GetParam();
+  const auto [dims, backend, policy] = GetParam();
   const int p = dims[0] * dims[1];
   SmithWatermanConfig cfg;
   cfg.la = 33;
@@ -217,7 +217,6 @@ TEST_P(SwTwoDScheduled, PerCellBitwiseMatchesSerial) {
     SchedOptions so;
     so.backend = backend;
     so.policy = policy;
-    so.adaptive = adaptive;
     const auto rep = app.fill_scheduled(comm, w, so);
     EXPECT_GT(rep.tasks, 1u);
     expect_cells_match_serial(cfg, app, comm);
@@ -228,21 +227,21 @@ INSTANTIATE_TEST_SUITE_P(
     BackendsPolicies, SwTwoDScheduled,
     ::testing::Values(
         std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kFifo, true),
+                        SchedPolicy::kFifo),
         std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kFifo, false),
+                        SchedPolicy::kStatic),
         std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kDiagonal, true),
+                        SchedPolicy::kDiagonal),
         std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kCriticalPath, true),
+                        SchedPolicy::kCriticalPath),
         std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kTasks,
-                        SchedPolicy::kDiagonal, true),
+                        SchedPolicy::kDiagonal),
         std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kDiagonal, true),
+                        SchedPolicy::kDiagonal),
         std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kTasks,
-                        SchedPolicy::kCriticalPath, true),
+                        SchedPolicy::kCriticalPath),
         std::make_tuple(std::array<int, 2>{2, 4}, SchedBackend::kTasks,
-                        SchedPolicy::kFifo, false)));
+                        SchedPolicy::kFifo)));
 
 TEST(BandedSw, SerialMatchesOracle) {
   BandedSwConfig cfg;

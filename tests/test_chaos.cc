@@ -361,7 +361,7 @@ TEST(Faults, TwoDScheduledTasksBackendValuesMatchChaosOracle) {
   // backend runs only on the parallel engine (no fault interceptor), so the
   // check works from the other side, as in TasksBackendValuesMatchChaos-
   // Oracle: one parallel+tasks run fixes the values and chaotic fiber runs
-  // must reproduce them. The static-FIFO SPMD backend additionally gets the
+  // must reproduce them. kStatic on the SPMD backend additionally gets the
   // full byte-identity treatment under chaos.
   const CostModel cm = t3e_like().costs;
   for (const std::array<int, 2> dims :
@@ -415,10 +415,9 @@ TEST(Faults, TwoDScheduledTasksBackendValuesMatchChaosOracle) {
     }
 
     SchedOptions stat;
-    stat.policy = SchedPolicy::kFifo;
-    stat.adaptive = false;
-    const auto fifo = body_with(stat);
-    const auto sbase = run_deterministic(p, cm, fifo);
+    stat.policy = SchedPolicy::kStatic;
+    const auto static_body = body_with(stat);
+    const auto sbase = run_deterministic(p, cm, static_body);
     EXPECT_EQ(sbase.extracted, tasks_vals);
     for (std::uint64_t seed : {24u, 25u}) {
       ChaosOptions opts;
@@ -427,7 +426,7 @@ TEST(Faults, TwoDScheduledTasksBackendValuesMatchChaosOracle) {
       opts.trace.enabled = true;
       opts.faults = FaultPlan::from_seed(seed * 19, p);
       SCOPED_TRACE(grid.describe() + " static seed=" + std::to_string(seed));
-      expect_identical(sbase, run_under(p, cm, opts, fifo));
+      expect_identical(sbase, run_under(p, cm, opts, static_body));
     }
   }
 }
@@ -436,9 +435,9 @@ TEST(Faults, ScheduledSweep3dByteIdenticalUnderChaos) {
   // The overlapped (dataflow-scheduled) SWEEP3D under random fiber
   // schedules x fault plans at p in {2,4,8}. Adaptive mode is probe-class:
   // computed values are bitwise-invariant but virtual times may shift with
-  // physical arrival, so the adaptive check compares extracted values; the
-  // static-FIFO mode is fully invariant and gets the expect_identical
-  // treatment (vtimes, stats, phases, traces).
+  // physical arrival, so the adaptive check compares extracted values;
+  // kStatic is fully invariant and gets the expect_identical treatment
+  // (vtimes, stats, phases, traces).
   const CostModel cm = t3e_like().costs;
   for (int p : {2, 4, 8}) {
     Sweep3dConfig cfg;
@@ -473,10 +472,9 @@ TEST(Faults, ScheduledSweep3dByteIdenticalUnderChaos) {
     }
 
     SchedOptions stat;
-    stat.policy = SchedPolicy::kFifo;
-    stat.adaptive = false;
-    const auto fifo = body_with(stat);
-    const auto sbase = run_deterministic(p, cm, fifo);
+    stat.policy = SchedPolicy::kStatic;
+    const auto static_body = body_with(stat);
+    const auto sbase = run_deterministic(p, cm, static_body);
     EXPECT_EQ(sbase.extracted, base.extracted);  // mode changes nothing
     for (std::uint64_t seed : {6u, 7u}) {
       ChaosOptions opts;
@@ -486,7 +484,7 @@ TEST(Faults, ScheduledSweep3dByteIdenticalUnderChaos) {
       opts.faults = FaultPlan::from_seed(seed * 17, p);
       SCOPED_TRACE("static p=" + std::to_string(p) + " seed=" +
                    std::to_string(seed));
-      expect_identical(sbase, run_under(p, cm, opts, fifo));
+      expect_identical(sbase, run_under(p, cm, opts, static_body));
     }
   }
 }
@@ -530,10 +528,9 @@ TEST(Faults, ScheduledAltSweepByteIdenticalUnderChaos) {
     }
 
     SchedOptions stat;
-    stat.policy = SchedPolicy::kFifo;
-    stat.adaptive = false;
-    const auto fifo = body_with(stat);
-    const auto sbase = run_deterministic(p, cm, fifo);
+    stat.policy = SchedPolicy::kStatic;
+    const auto static_body = body_with(stat);
+    const auto sbase = run_deterministic(p, cm, static_body);
     EXPECT_EQ(sbase.extracted, base.extracted);
     for (std::uint64_t seed : {6u, 7u}) {
       ChaosOptions opts;
@@ -543,7 +540,7 @@ TEST(Faults, ScheduledAltSweepByteIdenticalUnderChaos) {
       opts.faults = FaultPlan::from_seed(seed * 13, p);
       SCOPED_TRACE("static p=" + std::to_string(p) + " seed=" +
                    std::to_string(seed));
-      expect_identical(sbase, run_under(p, cm, opts, fifo));
+      expect_identical(sbase, run_under(p, cm, opts, static_body));
     }
   }
 }
@@ -603,17 +600,14 @@ TEST(Faults, TasksBackendValuesMatchChaosOracle) {
 }
 
 TEST(Faults, SchedulerDeadlockUnderChaosNamesTheStuckTask) {
-  // The executor's documented static-priority deadlock (rank 0's pick
-  // order blocks on a receive whose sender rank 1 is itself blocked) must
-  // surface as a typed error naming the stuck *task* — never hang — even
-  // while the fault injector holds messages in limbo. Static pick order is
-  // a pure function of graph + policy, so the deadlock fires under every
-  // seed.
+  // A kStatic graph whose last receive is never matched: rank 1 streams
+  // faces to rank 0, whose chain of tasks consumes them and then waits on
+  // a tag nobody sends. The deadlock must surface as a typed error naming
+  // the stuck *task* — never hang — even while the fault injector holds
+  // the faces in limbo. kStatic's pick order is a pure function of the
+  // graph, so the deadlock fires under every seed.
   const CostModel cm = t3e_like().costs;
-  AltSweepConfig cfg;
-  cfg.n = 48;
-  cfg.iterations = 4;
-  const ProcGrid<2> grid = ProcGrid<2>::along_dim(2, 0);
+  constexpr int kFaces = 6;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     ChaosOptions opts;
     opts.random_sched = true;
@@ -623,23 +617,35 @@ TEST(Faults, SchedulerDeadlockUnderChaosNamesTheStuckTask) {
     opts.faults.max_delay_steps = 25;
     try {
       run_chaotic(2, cm, opts, [&](Communicator& comm) {
-        AltSweep app(cfg, grid, comm.rank());
-        WaveOptions wopts;
-        wopts.block = 8;
-        wopts.overlap = true;
+        TaskGraph g;
+        TaskId prev = kNoTask;
+        for (int k = 0; k <= kFaces; ++k) {
+          TaskGraph::Task t;
+          if (comm.rank() == 0) {
+            t.label = k < kFaces ? "rx" + std::to_string(k) : "orphan";
+            t.inflows.push_back({1, k < kFaces ? k : 99, 4});
+          } else if (k < kFaces) {
+            t.label = "tx" + std::to_string(k);
+            t.run = [k](TaskContext& ctx) {
+              const double face[4] = {1.0 * k, 2.0, 3.0, 4.0};
+              ctx.send(0, std::span<const double>(face), k);
+            };
+          } else {
+            break;
+          }
+          const TaskId id = g.add(std::move(t));
+          g.add_edge_if(prev, id);
+          prev = id;
+        }
         SchedOptions so;
-        so.policy = SchedPolicy::kCriticalPath;
-        so.adaptive = false;
-        // Opt past the executor's fail-fast: this test exists to prove the
-        // *runtime* deadlock is detected and reported under chaos.
-        so.allow_unsafe_static = true;
-        app.iterate_scheduled(comm, cfg.iterations, wopts, so);
+        so.policy = SchedPolicy::kStatic;
+        run_graph(g, comm, so);
       });
       FAIL() << "seed " << seed << ": deadlock did not throw";
     } catch (const Error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-      EXPECT_NE(what.find("task '"), std::string::npos)
+      EXPECT_NE(what.find("task 'orphan'"), std::string::npos)
           << "report should name the stuck task: " << what;
     }
   }

@@ -362,9 +362,9 @@ TEST(ParallelSuite, ValuesAndVtimesMatchFiberOracle) {
 }
 
 TEST(ParallelSuite, ScheduledSweepMatchesFiberOracle) {
-  // The dataflow scheduler on top of the parallel engine. Static FIFO mode
-  // is fully schedule-invariant, so the whole RunResult must match the
-  // fiber oracle; adaptive mode is probe-class (pick order observes
+  // The dataflow scheduler on top of the parallel engine. kStatic is fully
+  // schedule-invariant, so the whole RunResult must match the fiber
+  // oracle; the adaptive policies are probe-class (pick order observes
   // physical arrival), so only the computed flux is pinned.
   Sweep3dConfig cfg;
   cfg.n = 12;
@@ -373,10 +373,9 @@ TEST(ParallelSuite, ScheduledSweepMatchesFiberOracle) {
   wopts.block = 3;
   for (int p : {2, 4}) {
     const ProcGrid<3> grid = ProcGrid<3>::along_dim(p, 0);
-    auto run_one = [&](EngineKind kind, bool adaptive, double& flux) {
+    auto run_one = [&](EngineKind kind, SchedPolicy policy, double& flux) {
       SchedOptions so;
-      so.policy = adaptive ? SchedPolicy::kCriticalPath : SchedPolicy::kFifo;
-      so.adaptive = adaptive;
+      so.policy = policy;
       Machine m(p, {}, TraceConfig{}, engine(kind));
       return m.run([&](Communicator& comm) {
         const Real v = sweep3d_spmd_scheduled(comm, cfg, grid, wopts, so);
@@ -386,9 +385,10 @@ TEST(ParallelSuite, ScheduledSweepMatchesFiberOracle) {
     SCOPED_TRACE("p=" + std::to_string(p));
     {
       double fi_flux = 0.0, pa_flux = 0.0;
-      const auto fi = run_one(EngineKind::kFibers, /*adaptive=*/false, fi_flux);
+      const auto fi =
+          run_one(EngineKind::kFibers, SchedPolicy::kStatic, fi_flux);
       const auto pa =
-          run_one(EngineKind::kParallel, /*adaptive=*/false, pa_flux);
+          run_one(EngineKind::kParallel, SchedPolicy::kStatic, pa_flux);
       EXPECT_EQ(fi_flux, pa_flux);
       EXPECT_EQ(fi.vtime, pa.vtime);
       EXPECT_EQ(fi.vtime_max, pa.vtime_max);
@@ -396,8 +396,8 @@ TEST(ParallelSuite, ScheduledSweepMatchesFiberOracle) {
     }
     {
       double fi_flux = 0.0, pa_flux = 0.0;
-      run_one(EngineKind::kFibers, /*adaptive=*/true, fi_flux);
-      run_one(EngineKind::kParallel, /*adaptive=*/true, pa_flux);
+      run_one(EngineKind::kFibers, SchedPolicy::kCriticalPath, fi_flux);
+      run_one(EngineKind::kParallel, SchedPolicy::kCriticalPath, pa_flux);
       EXPECT_EQ(fi_flux, pa_flux);  // values only: adaptive is probe-class
     }
   }
@@ -585,6 +585,36 @@ TEST(TasksBackend, RefusesNonParallelEngineWithTypedError) {
   }
 }
 
+TEST(TasksBackend, RefusesStaticPolicyWithTypedError) {
+  // The tasks backend runs the adaptive policies only: kStatic with it is
+  // refused on the machine that runs, before any task does — one rank or
+  // many, never a silent SPMD fallback.
+  for (const int p : {1, 2}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    Machine m(p, {}, TraceConfig{}, engine(EngineKind::kParallel));
+    bool ran = false;
+    try {
+      m.run([&](Communicator& comm) {
+        TaskGraph::Task t;
+        t.label = "t";
+        t.run = [&](TaskContext&) { ran = true; };
+        TaskGraph g;
+        g.add(std::move(t));
+        SchedOptions so;
+        so.backend = SchedBackend::kTasks;
+        so.policy = SchedPolicy::kStatic;
+        run_graph(g, comm, so);
+      });
+      FAIL() << "tasks backend ran kStatic";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("kStatic"), std::string::npos) << what;
+      EXPECT_NE(what.find("Valid combinations"), std::string::npos) << what;
+    }
+    EXPECT_FALSE(ran);
+  }
+}
+
 TEST(TasksBackend, HandGraphCrossRankInflowAndReport) {
   // Two ranks, explicit graph: rank 0 computes a payload and sends it;
   // rank 1's consumer task declares it as inflow. Exercises release,
@@ -632,7 +662,7 @@ TEST(TasksBackend, HandGraphCrossRankInflowAndReport) {
 
 TEST(TasksBackend, ScheduledSweep3dValuesMatchFiberOracle) {
   // The headline identity: the tasks backend computes byte-identical flux
-  // to the fiber oracle's SPMD walk at p in {2, 4, 8}, adaptive mode.
+  // to the fiber oracle's SPMD walk at p in {2, 4, 8}, default policy.
   Sweep3dConfig cfg;
   cfg.n = 12;
   cfg.iterations = 1;
@@ -691,45 +721,6 @@ TEST(TasksBackend, ScheduledAltSweepValuesMatchFiberOracle) {
   }
 }
 
-TEST(TasksBackend, StaticFifoFullRunResultMatchesFiberOracle) {
-  // Static FIFO holds the rank's operation lock across whole tasks and
-  // picks arrival-blind, replaying the SPMD backend's per-rank operation
-  // sequence exactly: the *entire* RunResult must match the fiber oracle,
-  // not just the values.
-  Sweep3dConfig cfg;
-  cfg.n = 12;
-  cfg.iterations = 1;
-  WaveOptions wopts;
-  wopts.block = 3;
-  for (int p : {2, 4}) {
-    SCOPED_TRACE("p=" + std::to_string(p));
-    const ProcGrid<3> grid = ProcGrid<3>::along_dim(p, 0);
-    auto run_one = [&](EngineKind kind, SchedBackend backend, double& flux) {
-      SchedOptions so;
-      so.policy = SchedPolicy::kFifo;
-      so.adaptive = false;
-      so.backend = backend;
-      Machine m(p, {}, TraceConfig{}, engine(kind));
-      return m.run([&](Communicator& comm) {
-        const Real v = sweep3d_spmd_scheduled(comm, cfg, grid, wopts, so);
-        if (comm.rank() == 0) flux = v;
-      });
-    };
-    double fi_flux = 0.0, tk_flux = 0.0;
-    const RunResult fi =
-        run_one(EngineKind::kFibers, SchedBackend::kSpmd, fi_flux);
-    const RunResult tk =
-        run_one(EngineKind::kParallel, SchedBackend::kTasks, tk_flux);
-    EXPECT_EQ(fi_flux, tk_flux);
-    EXPECT_EQ(fi.vtime, tk.vtime);
-    EXPECT_EQ(fi.vtime_max, tk.vtime_max);
-    EXPECT_EQ(fi.total, tk.total);
-    ASSERT_EQ(fi.stats.size(), tk.stats.size());
-    for (std::size_t r = 0; r < fi.stats.size(); ++r)
-      EXPECT_EQ(fi.stats[r], tk.stats[r]) << "stats rank " << r;
-  }
-}
-
 TEST(TasksBackend, DeadlockNamesTheStuckTask) {
   // Rank 0's only task consumes a message rank 1 never sends. Rank 1's
   // worker departs; rank 0's worker goes idle with a pending inflow that
@@ -751,7 +742,11 @@ TEST(TasksBackend, DeadlockNamesTheStuckTask) {
   } catch (const Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-    EXPECT_NE(what.find("lonely-consumer"), std::string::npos) << what;
+    EXPECT_NE(
+        what.find("stuck on task 'lonely-consumer' (inflow src=1 tag=99) "
+                  "on rank 0"),
+        std::string::npos)
+        << what;
   }
 }
 

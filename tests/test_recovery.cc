@@ -468,20 +468,27 @@ TEST(Recovery, ParallelTasksBackendSweep3dKillMatchesFiberOracle) {
 // Mode gates: recovery refuses what it cannot honour, with typed errors.
 
 TEST(Recovery, StaticModeFailsFastTyped) {
+  // kStatic is unrecoverable on either backend: the SchedError comes
+  // before the tasks backend's own refusal of kStatic (a ConfigError).
   const CostModel cm = t3e_like().costs;
   const SwCase cs = sw_case(2);
-  std::vector<Real> got(cs.out_elems(), 0.0);
-  RecoveryCoordinator rc(cs.factory(&got));
-  EngineConfig ec;
-  ec.kind = EngineKind::kFibers;
-  Machine m(2, cm, TraceConfig{}, ec);
-  rc.attach(m);
-  SchedOptions so;
-  so.policy = SchedPolicy::kFifo;
-  so.adaptive = false;
-  EXPECT_THROW(
-      m.run([&](Communicator& comm) { run_recoverable(comm, rc, so); }),
-      SchedError);
+  for (const SchedBackend backend :
+       {SchedBackend::kSpmd, SchedBackend::kTasks}) {
+    SCOPED_TRACE(to_string(backend));
+    std::vector<Real> got(cs.out_elems(), 0.0);
+    RecoveryCoordinator rc(cs.factory(&got));
+    EngineConfig ec;
+    ec.kind = backend == SchedBackend::kTasks ? EngineKind::kParallel
+                                              : EngineKind::kFibers;
+    Machine m(2, cm, TraceConfig{}, ec);
+    rc.attach(m);
+    SchedOptions so;
+    so.policy = SchedPolicy::kStatic;
+    so.backend = backend;
+    EXPECT_THROW(
+        m.run([&](Communicator& comm) { run_recoverable(comm, rc, so); }),
+        SchedError);
+  }
 }
 
 TEST(Recovery, TasksBackendRequiresParallelEngine) {

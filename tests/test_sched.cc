@@ -186,8 +186,7 @@ double run_on(int p, const SchedOptions& so, BuildFn build,
 TEST(Executor, FifoRunsInInsertionOrder) {
   std::vector<std::string> order;
   SchedOptions so;
-  so.policy = SchedPolicy::kFifo;
-  so.adaptive = false;
+  so.policy = SchedPolicy::kStatic;
   run_on(1, so, [&](TaskGraph& g, int) {
     for (const char* name : {"a", "b", "c"})
       g.add({.label = name,
@@ -200,7 +199,6 @@ TEST(Executor, DiagonalPolicyOrdersByKey) {
   std::vector<std::string> order;
   SchedOptions so;
   so.policy = SchedPolicy::kDiagonal;
-  so.adaptive = false;
   run_on(1, so, [&](TaskGraph& g, int) {
     const auto body = [&order](const char* name) {
       return [&order, name](TaskContext&) { order.push_back(name); };
@@ -229,7 +227,6 @@ TEST(Executor, CriticalPathPrefersTheLongChain) {
   };
   std::vector<std::string> crit, fifo;
   SchedOptions so;
-  so.adaptive = false;
   so.policy = SchedPolicy::kCriticalPath;
   run_on(1, so, build(crit));
   so.policy = SchedPolicy::kFifo;
@@ -262,11 +259,10 @@ TEST(Executor, CycleIsATypedError) {
 }
 
 TEST(Executor, InflowAndSendsMoveDataBetweenRanks) {
-  for (const bool adaptive : {true, false}) {
+  for (const SchedPolicy pol :
+       {SchedPolicy::kStatic, SchedPolicy::kCriticalPath}) {
     SchedOptions so;
-    so.adaptive = adaptive;
-    // One task per rank: trivially consistent, so static critical is safe.
-    so.allow_unsafe_static = true;
+    so.policy = pol;
     std::vector<double> got;
     Machine::run(2, {}, [&](Communicator& comm) {
       TaskGraph g;
@@ -286,22 +282,28 @@ TEST(Executor, InflowAndSendsMoveDataBetweenRanks) {
       }
       const SchedReport rep = run_graph(g, comm, so);
       EXPECT_EQ(rep.tasks, 1u);
-      EXPECT_EQ(rep.adaptive, adaptive);
+      EXPECT_EQ(rep.policy, pol);
+      // kStatic receives blocking when the task is picked; the adaptive
+      // policies post the receive up front.
+      if (comm.rank() == 1) {
+        EXPECT_EQ(rep.max_posted, pol == SchedPolicy::kStatic ? 0u : 1u);
+      }
     });
     EXPECT_EQ(got, (std::vector<double>{2.0, 3.0, 5.0}))
-        << "adaptive=" << adaptive;
+        << "policy=" << to_string(pol);
   }
 }
 
 TEST(SchedOptionsEnv, ParsesPolicyAndMode) {
   EnvGuard pol("WAVEPIPE_SCHED_POLICY");
-  EnvGuard ada("WAVEPIPE_SCHED_ADAPTIVE");
+  EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
+  ::unsetenv("WAVEPIPE_SCHED_BACKEND");
 
   ::unsetenv("WAVEPIPE_SCHED_POLICY");
-  ::unsetenv("WAVEPIPE_SCHED_ADAPTIVE");
   EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kCriticalPath);
-  EXPECT_TRUE(SchedOptions::from_env().adaptive);
 
+  ::setenv("WAVEPIPE_SCHED_POLICY", "static", 1);
+  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kStatic);
   ::setenv("WAVEPIPE_SCHED_POLICY", "fifo", 1);
   EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kFifo);
   ::setenv("WAVEPIPE_SCHED_POLICY", "diagonal", 1);
@@ -309,34 +311,24 @@ TEST(SchedOptionsEnv, ParsesPolicyAndMode) {
   ::setenv("WAVEPIPE_SCHED_POLICY", "critical", 1);
   EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kCriticalPath);
   ::setenv("WAVEPIPE_SCHED_POLICY", "greedy", 1);
-  EXPECT_THROW(SchedOptions::from_env(), ConfigError);
-
-  ::setenv("WAVEPIPE_SCHED_POLICY", "fifo", 1);
-  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "0", 1);
-  EXPECT_FALSE(SchedOptions::from_env().adaptive);
-  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "1", 1);
-  EXPECT_TRUE(SchedOptions::from_env().adaptive);
-  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "maybe", 1);
-  EXPECT_THROW(SchedOptions::from_env(), ConfigError);
-}
-
-TEST(SchedOptionsEnv, ParsesUnsafeStaticOptIn) {
-  EnvGuard unsafe("WAVEPIPE_SCHED_UNSAFE_STATIC");
-  ::unsetenv("WAVEPIPE_SCHED_UNSAFE_STATIC");
-  EXPECT_FALSE(SchedOptions::from_env().allow_unsafe_static);
-  ::setenv("WAVEPIPE_SCHED_UNSAFE_STATIC", "1", 1);
-  EXPECT_TRUE(SchedOptions::from_env().allow_unsafe_static);
-  ::setenv("WAVEPIPE_SCHED_UNSAFE_STATIC", "0", 1);
-  EXPECT_FALSE(SchedOptions::from_env().allow_unsafe_static);
-  ::setenv("WAVEPIPE_SCHED_UNSAFE_STATIC", "yes", 1);
-  EXPECT_THROW(SchedOptions::from_env(), ConfigError);
+  try {
+    SchedOptions::from_env();
+    FAIL() << "unknown policy accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'static', 'fifo', 'diagonal' or 'critical'"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(SchedOptionsEnv, ParsesBackendSelection) {
   EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
   EnvGuard eng("WAVEPIPE_ENGINE");
+  EnvGuard pol("WAVEPIPE_SCHED_POLICY");
   ::unsetenv("WAVEPIPE_SCHED_BACKEND");
   ::unsetenv("WAVEPIPE_ENGINE");
+  ::unsetenv("WAVEPIPE_SCHED_POLICY");
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kSpmd);
   ::setenv("WAVEPIPE_SCHED_BACKEND", "spmd", 1);
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kSpmd);
@@ -351,6 +343,8 @@ TEST(SchedOptionsEnv, TasksBackendCrossValidatesAgainstEngineEnv) {
   // machine exists — and the error spells out the valid combinations.
   EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
   EnvGuard eng("WAVEPIPE_ENGINE");
+  EnvGuard pol("WAVEPIPE_SCHED_POLICY");
+  ::unsetenv("WAVEPIPE_SCHED_POLICY");
   ::setenv("WAVEPIPE_SCHED_BACKEND", "tasks", 1);
   ::setenv("WAVEPIPE_ENGINE", "parallel", 1);
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kTasks);
@@ -382,12 +376,40 @@ TEST(SchedOptionsEnv, TasksBackendCrossValidatesAgainstEngineEnv) {
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kSpmd);
 }
 
+TEST(SchedOptionsEnv, TasksBackendRefusesStaticPolicy) {
+  // The tasks backend runs only the adaptive policies: static + tasks is
+  // a configuration-time error whatever the engine, and spmd runs static.
+  EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
+  EnvGuard eng("WAVEPIPE_ENGINE");
+  EnvGuard pol("WAVEPIPE_SCHED_POLICY");
+  ::setenv("WAVEPIPE_SCHED_POLICY", "static", 1);
+  ::setenv("WAVEPIPE_SCHED_BACKEND", "tasks", 1);
+  for (const char* engine : {"parallel", ""}) {
+    ::setenv("WAVEPIPE_ENGINE", engine, 1);
+    try {
+      SchedOptions::from_env();
+      FAIL() << "tasks backend accepted WAVEPIPE_SCHED_POLICY=static";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("WAVEPIPE_SCHED_POLICY=static"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("Valid combinations"), std::string::npos) << what;
+    }
+  }
+  ::setenv("WAVEPIPE_SCHED_BACKEND", "spmd", 1);
+  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kStatic);
+  ::setenv("WAVEPIPE_SCHED_POLICY", "fifo", 1);
+  ::setenv("WAVEPIPE_SCHED_BACKEND", "tasks", 1);
+  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kFifo);
+}
+
 TEST(SchedOptionsEnv, BackendNamesRoundTrip) {
   EXPECT_STREQ(to_string(SchedBackend::kSpmd), "spmd");
   EXPECT_STREQ(to_string(SchedBackend::kTasks), "tasks");
 }
 
 TEST(SchedOptionsEnv, PolicyNamesRoundTrip) {
+  EXPECT_STREQ(to_string(SchedPolicy::kStatic), "static");
   EXPECT_STREQ(to_string(SchedPolicy::kFifo), "fifo");
   EXPECT_STREQ(to_string(SchedPolicy::kDiagonal), "diagonal");
   EXPECT_STREQ(to_string(SchedPolicy::kCriticalPath), "critical");
@@ -415,40 +437,33 @@ TEST(ScheduledSweep3d, ByteIdenticalAcrossPoliciesAndModes) {
   });
 
   for (const SchedPolicy pol :
-       {SchedPolicy::kFifo, SchedPolicy::kDiagonal, SchedPolicy::kCriticalPath})
-    for (const bool adaptive : {true, false}) {
-      SchedOptions so;
-      so.policy = pol;
-      so.adaptive = adaptive;
-      // The sweep lowering releases each tile's outflow before any
-      // priority-inverted receive, so its static priority schedules are
-      // globally consistent: opt past the executor's fail-fast to prove
-      // the results stay byte-identical.
-      so.allow_unsafe_static = true;
-      SCOPED_TRACE(std::string("policy=") + to_string(pol) +
-                   " adaptive=" + (adaptive ? "1" : "0"));
-      Real flux = 0.0, cs = 0.0;
-      SchedReport rep;
-      Machine::run(p, {}, [&](Communicator& comm) {
-        Sweep3d app(cfg, grid, comm.rank());
-        // Per-rank report: ranks run concurrently under the threaded and
-        // parallel engines, so only rank 0 may write the shared locals.
-        SchedReport mine;
-        const Real f = app.sweep_all_scheduled(comm, opts, so, &mine);
-        const Real c = app.checksum(comm);
-        if (comm.rank() == 0) {
-          flux = f;
-          cs = c;
-          rep = mine;
-        }
-      });
-      // Bitwise, not approximate: scheduling reorders execution, never
-      // arithmetic (accumulation is serialized by explicit edges).
-      EXPECT_EQ(flux, seq_flux);
-      EXPECT_EQ(cs, seq_sum);
-      EXPECT_GT(rep.tasks, 8u);  // at least one task per (octant, angle)
-      EXPECT_EQ(rep.policy, pol);
-    }
+       {SchedPolicy::kStatic, SchedPolicy::kFifo, SchedPolicy::kDiagonal,
+        SchedPolicy::kCriticalPath}) {
+    SchedOptions so;
+    so.policy = pol;
+    SCOPED_TRACE(std::string("policy=") + to_string(pol));
+    Real flux = 0.0, cs = 0.0;
+    SchedReport rep;
+    Machine::run(p, {}, [&](Communicator& comm) {
+      Sweep3d app(cfg, grid, comm.rank());
+      // Per-rank report: ranks run concurrently under the parallel engine,
+      // so only rank 0 may write the shared locals.
+      SchedReport mine;
+      const Real f = app.sweep_all_scheduled(comm, opts, so, &mine);
+      const Real c = app.checksum(comm);
+      if (comm.rank() == 0) {
+        flux = f;
+        cs = c;
+        rep = mine;
+      }
+    });
+    // Bitwise, not approximate: scheduling reorders execution, never
+    // arithmetic (accumulation is serialized by explicit edges).
+    EXPECT_EQ(flux, seq_flux);
+    EXPECT_EQ(cs, seq_sum);
+    EXPECT_GT(rep.tasks, 8u);  // at least one task per (octant, angle)
+    EXPECT_EQ(rep.policy, pol);
+  }
 }
 
 TEST(ScheduledSweep3d, OverlapWinsAtLeastTenPercentAtP8) {
@@ -519,15 +534,13 @@ TEST(ScheduledAltSweep, MatchesPipelinedBitwise) {
       }
     });
 
-    // Adaptive critical-path (the default) and static FIFO (the fully
-    // schedule-invariant mode; static priority policies are excluded by the
-    // executor's documented cross-rank caveat).
-    for (const bool adaptive : {true, false}) {
+    // Adaptive critical-path (the default) and kStatic (the fully
+    // schedule-invariant policy).
+    for (const SchedPolicy pol :
+         {SchedPolicy::kCriticalPath, SchedPolicy::kStatic}) {
       SchedOptions so;
-      so.policy = adaptive ? SchedPolicy::kCriticalPath : SchedPolicy::kFifo;
-      so.adaptive = adaptive;
-      SCOPED_TRACE("p=" + std::to_string(p) +
-                   " adaptive=" + (adaptive ? "1" : "0"));
+      so.policy = pol;
+      SCOPED_TRACE("p=" + std::to_string(p) + " policy=" + to_string(pol));
       Real res = 0.0, cs = 0.0;
       Machine::run(p, {}, [&](Communicator& comm) {
         AltSweep app(cfg, grid, comm.rank());
@@ -565,102 +578,45 @@ TEST(ScheduledAltSweep, IterateDispatchesTheScheduledStrategy) {
   EXPECT_EQ(scheduled, pipelined);
 }
 
-TEST(Deadlock, StaticPriorityOverCrossRankGraphFailsFast) {
-  // The resolved cross-rank caveat: a static non-FIFO schedule over a
-  // graph with any cross-rank inflow is refused with a typed SchedError
-  // *before* a single task runs, instead of gambling on the runtime
-  // deadlock the next test reproduces. Works under every engine — no
-  // deadlock detector needed, nothing ever blocks.
-  for (const SchedPolicy pol :
-       {SchedPolicy::kDiagonal, SchedPolicy::kCriticalPath}) {
-    SCOPED_TRACE(std::string("policy=") + to_string(pol));
-    SchedOptions so;
-    so.policy = pol;
-    so.adaptive = false;
-    bool receiver_ran = false;
-    try {
-      Machine::run(2, {}, [&](Communicator& comm) {
-        TaskGraph g;
-        if (comm.rank() == 0) {
-          g.add({.label = "tx", .run = [](TaskContext& ctx) {
-                   const double v = 1.0;
-                   ctx.send(1, std::span<const double>(&v, 1), 3);
-                 }});
-        } else {
-          TaskGraph::Task rx;
-          rx.label = "rx";
-          rx.inflows.push_back({0, 3, 1});
-          rx.run = [&receiver_ran](TaskContext&) { receiver_ran = true; };
-          g.add(std::move(rx));
-        }
-        run_graph(g, comm, so);
-      });
-      FAIL() << "static non-FIFO over a cross-rank graph did not fail fast";
-    } catch (const SchedError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("can deadlock"), std::string::npos) << what;
-      EXPECT_NE(what.find("task 'rx'"), std::string::npos) << what;
-      EXPECT_NE(what.find("WAVEPIPE_SCHED_UNSAFE_STATIC"), std::string::npos)
-          << "the error should name the escape hatch: " << what;
-    }
-    EXPECT_FALSE(receiver_ran) << "fail-fast must precede execution";
-
-    // The same schedule with the opt-in set runs to completion (this pair
-    // of graphs is trivially consistent).
-    so.allow_unsafe_static = true;
-    Machine::run(2, {}, [&](Communicator& comm) {
-      TaskGraph g;
-      if (comm.rank() == 0) {
-        g.add({.label = "tx", .run = [](TaskContext& ctx) {
-                 const double v = 1.0;
-                 ctx.send(1, std::span<const double>(&v, 1), 3);
-               }});
-      } else {
-        TaskGraph::Task rx;
-        rx.label = "rx";
-        rx.inflows.push_back({0, 3, 1});
-        rx.run = [&receiver_ran](TaskContext&) { receiver_ran = true; };
-        g.add(std::move(rx));
-      }
-      run_graph(g, comm, so);
-    });
-    EXPECT_TRUE(receiver_ran);
-  }
-}
-
 TEST(Deadlock, ReportNamesTheStuckTask) {
-  // Deterministic reproduction of the executor's documented static-mode
-  // hazard: static blocking under a priority policy ranks a receive above
-  // the send its peer is waiting on. The fiber engine must detect the
-  // all-blocked state and the report must say which *tasks* are stuck, not
-  // just which receives.
-  AltSweepConfig cfg;
-  cfg.n = 48;
-  cfg.iterations = 4;
-  const ProcGrid<2> grid = ProcGrid<2>::along_dim(2, 0);
-  WaveOptions opts;
-  opts.block = 8;
-  opts.overlap = true;
+  // Rank 1 sends three faces; rank 0 consumes them in a chain of kStatic
+  // tasks and then waits for a fourth face that is never sent. The fiber
+  // engine must detect the all-blocked state and the report must say which
+  // *task* is stuck and on which inflow, not just which receive.
   SchedOptions so;
-  so.policy = SchedPolicy::kCriticalPath;
-  so.adaptive = false;
-  // Opt past the fail-fast: this test exercises the runtime detector that
-  // backstops schedules asserted consistent but actually not.
-  so.allow_unsafe_static = true;
-
+  so.policy = SchedPolicy::kStatic;
   EngineConfig eng;
   eng.kind = EngineKind::kFibers;  // deadlock detection needs the fiber engine
   Machine m(2, t3e_like().costs, TraceConfig{}, eng);
   try {
     m.run([&](Communicator& comm) {
-      AltSweep app(cfg, grid, comm.rank());
-      app.iterate_scheduled(comm, cfg.iterations, opts, so);
+      TaskGraph g;
+      TaskId prev = kNoTask;
+      for (int k = 0; k < 4; ++k) {
+        TaskGraph::Task t;
+        if (comm.rank() == 0) {
+          t.label = k < 3 ? "rx" + std::to_string(k) : "orphan";
+          t.inflows.push_back({1, k < 3 ? k : 99, 1});
+        } else if (k < 3) {
+          t.label = "tx" + std::to_string(k);
+          t.run = [k](TaskContext& ctx) {
+            const double v = k;
+            ctx.send(0, std::span<const double>(&v, 1), k);
+          };
+        } else {
+          break;
+        }
+        const TaskId id = g.add(std::move(t));
+        g.add_edge_if(prev, id);
+        prev = id;
+      }
+      run_graph(g, comm, so);
     });
-    FAIL() << "static critical-path deadlock did not throw";
+    FAIL() << "unmatched kStatic receive did not throw";
   } catch (const Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-    EXPECT_NE(what.find("task '"), std::string::npos)
+    EXPECT_NE(what.find("task 'orphan'"), std::string::npos)
         << "report should name the stuck task: " << what;
   }
 }
