@@ -157,8 +157,8 @@ BENCHMARK(BM_GhostExchange)->Arg(64)->Arg(256)->Iterations(100);
 // One pipelined wavefront sweep over an n x n grid distributed along dim 0,
 // with or without communication overlap. Returns the critical-path virtual
 // time. The blocking schedule waits out every outflow send before starting
-// the next tile; the overlap schedule pre-posts inflow receives and defers
-// send completion, so per-tile NIC time hides under compute.
+// the next tile; the overlap schedule defers every send's completion to
+// the end of the sweep, so per-tile NIC time hides under compute.
 double wave_vtime(int p, Coord n, Coord block, bool overlap,
                   const CostModel& cm) {
   Machine m(p, cm, TraceConfig{}, engine_cfg(EngineKind::kFibers));

@@ -1,5 +1,5 @@
 // The wavefront benchmark suite (§6 future work): naive vs pipelined
-// execution of all five applications under the calibrated machine model,
+// execution of all six applications under the calibrated machine model,
 // with traffic statistics showing the block-size tradeoff. Wall-clock
 // seconds of each run are printed next to the virtual times (they measure
 // host simulation effort here; bench/parallel_wallclock measures real

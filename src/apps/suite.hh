@@ -2,9 +2,10 @@
 // develop a benchmark suite of wavefront computations in order to evaluate
 // our design and implementation").
 //
-// Five applications, one uniform adapter each, so benches can sweep
+// Six applications, one uniform adapter each, so benches can sweep
 // machines, processor counts and block sizes across all of them: Tomcatv,
-// SIMPLE, SWEEP3D, Smith-Waterman, and SOR.
+// SIMPLE, SWEEP3D, Smith-Waterman (on a rank line and on a 2D processor
+// grid), and SOR.
 #pragma once
 
 #include <array>
@@ -50,7 +51,7 @@ struct SuiteApp {
   std::shared_ptr<double> last_value;
 };
 
-/// The five-app registry.
+/// The six-app registry.
 std::vector<SuiteApp> wavefront_suite();
 
 }  // namespace wavepipe

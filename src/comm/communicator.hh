@@ -255,8 +255,8 @@ class Communicator {
 
   /// Blocks until `r` completes, advances the clock to max(own,
   /// completion), and consumes the handle (resets it to invalid). A wait
-  /// on an invalid handle is a no-op, so double-buffered loops need no
-  /// first-iteration special case.
+  /// on an invalid handle is a no-op, so loops need no first-iteration
+  /// special case.
   void wait(Request& r);
 
   /// Nonblocking completion check: true iff the operation has completed

@@ -15,7 +15,6 @@ const char* to_string(TraceEventType t) {
     case TraceEventType::kRecvWait: return "recv-wait";
     case TraceEventType::kRecvComplete: return "recv";
     case TraceEventType::kCollective: return "collective";
-    case TraceEventType::kTile: return "tile";
     case TraceEventType::kStatement: return "statement";
     case TraceEventType::kSendPost: return "send-post";
     case TraceEventType::kSendWait: return "send-wait";

@@ -28,13 +28,13 @@ enum class TraceEventType : std::uint8_t {
   kRecvWait,      // a recv that stalled: interval from call to arrival
   kRecvComplete,  // instant: a message was matched and unpacked
   kCollective,    // a whole collective (barrier/reduce/broadcast/gather)
-  kTile,          // one pipeline tile of a wavefront (recv+compute+send)
   kStatement,     // one distributed array statement (exchange + apply)
   kSendPost,      // instant: an isend was posted (occupy_sender: no charge)
   kSendWait,      // a wait on a send request that stalled for the NIC
   kSendComplete,  // instant: a send request was completed by wait/test
   kRecvPost,      // instant: an irecv was posted (never advances the clock)
-  kTask,          // one scheduler task (tag = task id, elements = cost)
+  kTask,          // one scheduler task, e.g. a wavefront tile (recv +
+                  // compute + send; tag = task id, elements = cost)
 };
 
 /// Short stable name ("compute", "send", ...) used by exporters and tests.
@@ -45,7 +45,7 @@ const char* to_string(TraceEventType t);
 struct TraceEvent {
   TraceEventType type = TraceEventType::kCompute;
   std::int32_t peer = -1;       // other rank, or -1 when not applicable
-  std::int32_t tag = 0;         // message tag, or tile index for kTile
+  std::int32_t tag = 0;         // message tag, or task id for kTask
   std::uint64_t elements = 0;   // payload or tile size in elements
   double t0 = 0.0;
   double t1 = 0.0;

@@ -62,7 +62,7 @@ class ProcGrid {
     dims.fill(1);
     for (std::size_t i = 0; i < distributed.size(); ++i) {
       const Rank d = distributed[i];
-      if (d < 0 || d >= R)
+      if (d >= R)
         throw ConfigError("ProcGrid::factored: dimension " +
                           std::to_string(d) + " is outside a rank-" +
                           std::to_string(R) + " grid");

@@ -1,5 +1,6 @@
-// The wavefront executors are header-only (pipelined.hh); this unit
-// anchors wp_exec.
+// The naive and pipelined wavefront executors (run_naive, run_pipelined,
+// run_wavefront) are header-only (pipelined.hh); this unit compiles the
+// header on its own.
 #include "exec/pipelined.hh"
 
 namespace wavepipe {

@@ -154,6 +154,16 @@ void check_backend(const SchedOptions& opts, EngineKind engine) {
         std::string(kValidCombinations));
 }
 
+void issue_send(Communicator& comm, std::vector<Request>& sends, int dst,
+                std::span<const double> payload, int tag, bool settle) {
+  Request r = comm.isend(dst, payload, tag);
+  if (settle) {
+    comm.wait(r);
+  } else {
+    sends.push_back(r);
+  }
+}
+
 std::string describe_stuck_task(const TaskGraph& graph, TaskId t) {
   const TaskGraph::Task& task = graph.task(t);
   std::ostringstream os;
@@ -190,8 +200,9 @@ class SchedExecutor : public TaskSink {
 
   SchedReport run();
 
-  void task_send(int dst, std::span<const double> payload, int tag) override {
-    sends_.push_back(comm_.isend(dst, payload, tag));
+  void task_send(int dst, std::span<const double> payload, int tag,
+                 bool settle) override {
+    sched_internal::issue_send(comm_, sends_, dst, payload, tag, settle);
   }
 
  private:

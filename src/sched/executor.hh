@@ -6,9 +6,10 @@
 // FIFO because same-tag tasks are chained by edges — and the task joins
 // either the ready set (no inflow) or the pending set (inflow posted).
 // The main loop repeatedly picks a task by the configured priority policy
-// and runs it; outflow sends issued by task bodies are nonblocking and
+// and runs it. Outflow sends issued by task bodies are nonblocking and
 // settled in posting order after the graph drains, so the send engine
-// overlaps under later tiles exactly as WaveOptions::overlap does.
+// drains under later tiles; a body that asks to settle a send
+// (TaskContext::send's `settle`) has it settled before the send returns.
 //
 // Two kinds of policy:
 //
@@ -18,9 +19,9 @@
 //     the tile, send) as an arrival-blind order per rank, and the entire
 //     RunResult — vtimes, phases, stats, traces — is a pure function of
 //     the graph: byte-identical under every fiber schedule and fault
-//     plan, like the blocking executors. It is deadlock-free whenever
-//     tasks are constructed in sequential-program order, as the lowering
-//     helpers do. SPMD backend only.
+//     plan. It is deadlock-free whenever tasks are constructed in
+//     sequential-program order, as the lowering helpers do. SPMD backend
+//     only. run_wavefront is lower_wavefront run under this policy.
 //
 //   * kFifo, kDiagonal, kCriticalPath (adaptive): pending tasks whose
 //     inflows have arrived (test()) are promoted into the ready set, and
@@ -44,6 +45,7 @@
 // unwind rethrows SchedError naming the same task(s).
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +55,7 @@
 namespace wavepipe {
 
 class Communicator;
+class Request;
 enum class EngineKind;
 
 /// How the ready set is ordered.
@@ -145,6 +148,12 @@ GraphAnalysis analyze_graph(const TaskGraph& graph, SchedPolicy policy);
 /// run_recoverable: throws ConfigError naming the valid combinations
 /// unless `opts` can run on a machine of engine `engine`.
 void check_backend(const SchedOptions& opts, EngineKind engine);
+
+/// Every sink's TaskSink::task_send: issues the send on `comm` and settles
+/// it at once when `settle`, else keeps its request in `sends` for the
+/// end-of-graph drain.
+void issue_send(Communicator& comm, std::vector<Request>& sends, int dst,
+                std::span<const double> payload, int tag, bool settle);
 
 /// "task '<label>' (inflow src=S tag=T, ...)": how every deadlock report
 /// names a stuck task.

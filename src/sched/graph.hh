@@ -54,10 +54,10 @@ inline constexpr TaskId kNoTask = -1;
 class TaskSink {
  public:
   virtual ~TaskSink() = default;
-  /// Issues the nonblocking send and records its request for the
-  /// end-of-graph settlement pass.
-  virtual void task_send(int dst, std::span<const double> payload,
-                         int tag) = 0;
+  /// Issues the nonblocking send and either settles it at once (`settle`)
+  /// or records its request for the end-of-graph settlement pass.
+  virtual void task_send(int dst, std::span<const double> payload, int tag,
+                         bool settle) = 0;
 };
 
 /// One message a task consumes before it may run.
@@ -71,16 +71,18 @@ struct TaskInflow {
 /// task's declaration order; `inflow` aliases the first of them (empty when
 /// the task declared none) — the overwhelmingly common single-inflow case.
 /// send() issues a nonblocking send whose completion the executor settles
-/// in posting order after the graph drains — the payload is copied out
-/// immediately, so temporaries are fine.
+/// in posting order after the graph drains — or, with `settle`, before
+/// send() returns, charging the sender's clock the way a blocking send
+/// does. The payload is copied out immediately, so temporaries are fine.
 class TaskContext {
  public:
   Communicator& comm;
   std::span<const double> inflow;
   std::span<const std::span<const double>> inflows;
 
-  void send(int dst, std::span<const double> payload, int tag) {
-    sink_.task_send(dst, payload, tag);
+  void send(int dst, std::span<const double> payload, int tag,
+            bool settle = false) {
+    sink_.task_send(dst, payload, tag, settle);
   }
 
  private:

@@ -178,13 +178,13 @@ class TaskArena {
       return sched_internal::task_key(graph, analysis, opts.policy, t);
     }
 
-    void task_send(int dst, std::span<const double> payload,
-                   int tag) override {
+    void task_send(int dst, std::span<const double> payload, int tag,
+                   bool settle) override {
       // Reached from a task body on any worker: the op lock serializes the
-      // isend and the request-vector append with every other consumer-side
-      // operation on this rank.
+      // isend, its settlement and the request-vector append with every
+      // other consumer-side operation on this rank.
       auto l = comm.lock_ops();
-      sends.push_back(comm.isend(dst, payload, tag));
+      sched_internal::issue_send(comm, sends, dst, payload, tag, settle);
     }
   };
 

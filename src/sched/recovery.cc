@@ -109,11 +109,12 @@ bool RecoveryCoordinator::all_finished() const {
 
 void AdoptedProgram::ProxySink::task_send(int dst,
                                           std::span<const double> payload,
-                                          int tag) {
+                                          int tag, bool settle) {
   // Replaying a logged-complete task: the victim's original buffered send
   // was deposited downstream at post time, so re-sending would duplicate.
   if (suppress) return;
-  owner->sends_.push_back(owner->proxy_->isend(dst, payload, tag));
+  sched_internal::issue_send(*owner->proxy_, owner->sends_, dst, payload, tag,
+                             settle);
 }
 
 AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)
@@ -325,8 +326,9 @@ class RecoveryExecutor : public TaskSink {
 
   SchedReport run();
 
-  void task_send(int dst, std::span<const double> payload, int tag) override {
-    sends_.push_back(comm_.isend(dst, payload, tag));
+  void task_send(int dst, std::span<const double> payload, int tag,
+                 bool settle) override {
+    sched_internal::issue_send(comm_, sends_, dst, payload, tag, settle);
   }
 
  private:
@@ -435,12 +437,11 @@ void RecoveryExecutor::rethrow_stuck(const Error& cause) const {
   os << "scheduler deadlock on rank " << comm_.rank()
      << " (recovery executor): stuck on ";
   TaskId prev = kNoTask;
-  bool first = true;
   for (const TaskId id : pending_) {
-    if (id == prev) continue;
+    if (id == prev) continue;  // a task pends once per inflow; name it once
+    os << (prev == kNoTask ? "" : ", ")
+       << sched_internal::describe_stuck_task(graph_, id);
     prev = id;
-    os << (first ? "" : ", ") << "task '" << graph_.task(id).label << "'";
-    first = false;
   }
   os << "; " << cause.what();
   throw SchedError(os.str());

@@ -216,8 +216,8 @@ class AdoptedProgram {
   struct ProxySink final : TaskSink {
     AdoptedProgram* owner = nullptr;
     bool suppress = false;  // replaying a completed task: sends already went
-    void task_send(int dst, std::span<const double> payload,
-                   int tag) override;
+    void task_send(int dst, std::span<const double> payload, int tag,
+                   bool settle) override;
   };
 
   void release(TaskId t);

@@ -170,8 +170,9 @@ TEST_P(SwTwoD, PerCellBitwiseMatchesSerial) {
     EXPECT_EQ(rep.axes, 2);
     expect_cells_match_serial(cfg, app, comm);
     const Real score = app.best_score(comm);
-    if (comm.rank() == 0)
+    if (comm.rank() == 0) {
       EXPECT_DOUBLE_EQ(score, app.reference_best_score());
+    }
   });
 }
 
@@ -267,9 +268,10 @@ TEST(BandedSw, GridsMatchOracleBitwise) {
     Machine::run(p, {}, [&](Communicator& comm) {
       BandedSmithWaterman app(cfg, grid, comm.rank());
       const Real score = app.fill(comm);
-      if (comm.rank() == 0)
+      if (comm.rank() == 0) {
         EXPECT_EQ(score, app.reference_best_score())
             << "grid " << dims[0] << "x" << dims[1];
+      }
     });
   }
 }
@@ -288,7 +290,9 @@ TEST(BandedSw, GenomeScaleRunsInBandBoundedMemory) {
     const Real score = app.fill(comm);
     EXPECT_LE(app.resident_elements(),
               static_cast<std::size_t>(8 * (cfg.band + cfg.block)));
-    if (comm.rank() == 0) EXPECT_EQ(score, app.reference_best_score());
+    if (comm.rank() == 0) {
+      EXPECT_EQ(score, app.reference_best_score());
+    }
   });
 }
 

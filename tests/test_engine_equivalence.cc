@@ -174,8 +174,8 @@ TEST(EngineEquivalence, TracedTomcatvWave) {
 }
 
 TEST(EngineEquivalence, NonblockingWavefrontOverlapRun) {
-  // The overlap-enabled double-buffered executor (irecv pre-post + deferred
-  // isend completion) must stay byte-identical across engines: same data,
+  // The overlap-enabled wavefront (isend completions deferred to the end
+  // of the wave) must stay byte-identical across engines: same data,
   // vtimes, phase breakdowns, and Chrome traces.
   CostModel cm;
   cm.alpha = 17.0;

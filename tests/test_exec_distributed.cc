@@ -3,6 +3,9 @@
 // diagonal dependences, 2-D grids, and the error paths.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "array/io.hh"
 #include "exec/driver.hh"
 #include "exec/pipelined.hh"
@@ -417,6 +420,91 @@ TEST(Distributed, StatementSequencesCannotCollideOnTags) {
       EXPECT_EQ(max_diff, 0.0);
     }
   });
+}
+
+// Sets an environment variable for one scope and restores it after.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      had_ = true;
+      saved_ = old;
+    }
+    ::setenv(name, value, 1);
+  }
+  ~EnvGuard() {
+    if (had_)
+      ::setenv(name_.c_str(), saved_.c_str(), 1);
+    else
+      ::unsetenv(name_.c_str());
+  }
+
+ private:
+  std::string name_, saved_;
+  bool had_ = false;
+};
+
+// run_wavefront names its own schedule (kStatic on the SPMD executor): the
+// knobs that steer run_graph's default options must not reach it. Values,
+// virtual times, phases and traffic are the same with them set, on a 1D
+// and a 2D frontier, blocking and overlapped.
+TEST(Distributed, SchedulerEnvKnobsDoNotReachRunWavefront) {
+  struct Outcome {
+    RunResult res;
+    std::vector<Real> values;
+  };
+  auto run = [](const ProcGrid<2>& grid, bool overlap) {
+    const Coord n = 15;
+    CostModel cm;
+    cm.alpha = 20.0;
+    cm.beta = 1.0;
+    EngineConfig ec;
+    ec.kind = EngineKind::kFibers;
+    Machine m(grid.size(), cm, TraceConfig{}, ec);
+    Outcome out;
+    out.res = m.run([&](Communicator& comm) {
+      const Region<2> global({{0, 0}}, {{n, n}});
+      const Region<2> reg({{1, 1}}, {{n, n}});
+      const Layout<2> layout(global, grid, Idx<2>{{1, 1}});
+      DistArray<Real, 2> h("h", layout, comm.rank());
+      h.local().fill(0.0);
+      auto plan = scan(reg, h.local() <<= max_e(0.0,
+                                               prime(h.local(), kNorthWest) +
+                                                   0.25) +
+                                          0.125 * prime(h.local(), kNorth) +
+                                          0.0625 * prime(h.local(), kWest))
+                      .compile();
+      WaveOptions opts;
+      opts.block = 3;
+      opts.block_w = 4;
+      opts.overlap = overlap;
+      run_wavefront(plan, layout, comm, opts);
+      auto g = gather_to_root(h, comm);
+      if (comm.rank() == 0)
+        for_each(global,
+                 [&](const Idx<2>& i) { out.values.push_back((*g)(i)); });
+    });
+    return out;
+  };
+  for (const ProcGrid<2>& grid :
+       {ProcGrid<2>::along_dim(3, 0), ProcGrid<2>({2, 2})}) {
+    for (const bool overlap : {false, true}) {
+      SCOPED_TRACE("grid " + grid.describe() +
+                   (overlap ? " overlap" : " blocking"));
+      const Outcome want = run(grid, overlap);
+      Outcome got;
+      {
+        EnvGuard policy("WAVEPIPE_SCHED_POLICY", "critical");
+        EnvGuard backend("WAVEPIPE_SCHED_BACKEND", "tasks");
+        got = run(grid, overlap);
+      }
+      ASSERT_FALSE(want.values.empty());
+      EXPECT_EQ(got.values, want.values);
+      EXPECT_EQ(got.res.vtime, want.res.vtime);
+      EXPECT_EQ(got.res.phases, want.res.phases);
+      EXPECT_EQ(got.res.stats, want.res.stats);
+    }
+  }
 }
 
 }  // namespace

@@ -572,7 +572,7 @@ TEST(TasksBackend, RefusesNonParallelEngineWithTypedError) {
   try {
     m.run([&](Communicator& comm) {
       TaskGraph g;
-      g.add({.label = "t"});
+      g.add({.label = "t", .inflows = {}, .run = {}});
       SchedOptions so;
       so.backend = SchedBackend::kTasks;
       run_graph(g, comm, so);
@@ -631,6 +631,7 @@ TEST(TasksBackend, HandGraphCrossRankInflowAndReport) {
     if (comm.rank() == 0) {
       const TaskId a = g.add({.label = "produce",
                               .cost = 4.0,
+                              .inflows = {},
                               .run = [&](TaskContext& ctx) {
                                 ctx.comm.compute(4.0);
                                 const double payload[3] = {1.5, 2.5, 3.5};
@@ -638,6 +639,7 @@ TEST(TasksBackend, HandGraphCrossRankInflowAndReport) {
                                 ran.fetch_add(1);
                               }});
       const TaskId b = g.add({.label = "after",
+                              .inflows = {},
                               .run = [&](TaskContext&) { ran.fetch_add(1); }});
       g.add_edge(a, b);
     } else {
@@ -732,7 +734,8 @@ TEST(TasksBackend, DeadlockNamesTheStuckTask) {
       TaskGraph g;
       if (comm.rank() == 0)
         g.add({.label = "lonely-consumer",
-               .inflows = {{1, 99, 1}}});
+               .inflows = {{1, 99, 1}},
+               .run = {}});
       SchedOptions so;
       so.backend = SchedBackend::kTasks;
       run_graph(g, comm, so);
@@ -772,12 +775,14 @@ TEST(TasksBackend, CrossRankStealsReported) {
       for (int i = 0; i < kFan; ++i)
         fan.push_back(
             g.add({.label = "fan" + std::to_string(i),
+                   .inflows = {},
                    .run = [&](TaskContext& ctx) {
                      std::this_thread::sleep_for(std::chrono::microseconds(500));
                      ctx.comm.compute(1.0);
                      ran.fetch_add(1);
                    }}));
       const TaskId fin = g.add({.label = "finale",
+                                .inflows = {},
                                 .run = [&](TaskContext& ctx) {
                                   const double payload[1] = {42.0};
                                   ctx.send(0, payload, 5);
@@ -818,12 +823,13 @@ TEST(TasksBackend, TaskBodyThrowQuiescesStolenWorkBeforeTeardown) {
       // tasks are being stolen, not on the thief.
       so.policy = SchedPolicy::kFifo;
       if (comm.rank() == 0) {
-        g.add({.label = "bomb", .run = [](TaskContext&) {
+        g.add({.label = "bomb", .inflows = {}, .run = [](TaskContext&) {
                  std::this_thread::sleep_for(std::chrono::milliseconds(1));
                  throw std::runtime_error("task body exploded");
                }});
         for (int i = 0; i < kFan; ++i)
           g.add({.label = "fan" + std::to_string(i),
+                 .inflows = {},
                  // Touch the (rank-0) communicator every few dozen
                  // microseconds for ~2ms: a thief is virtually certain to
                  // be inside one of these when the bomb fires.
@@ -835,7 +841,8 @@ TEST(TasksBackend, TaskBodyThrowQuiescesStolenWorkBeforeTeardown) {
                  }});
       } else {
         g.add({.label = "starved",
-               .inflows = {{0, 9, 1}}});
+               .inflows = {{0, 9, 1}},
+               .run = {}});
       }
       run_graph(g, comm, so);
       ADD_FAILURE() << "failed round returned normally on rank "

@@ -287,6 +287,7 @@ TEST(Recovery, Sweep3dKillSweepMatchesOracle) {
 // poisons its peers.
 
 TEST(Recovery, KillWithoutRecoveryThrowsTyped) {
+  // Both the scheduled fill and the plain run_wavefront one.
   const CostModel cm = t3e_like().costs;
   const int p = 2;
   const SwCase cs = sw_case(p);
@@ -295,17 +296,64 @@ TEST(Recovery, KillWithoutRecoveryThrowsTyped) {
   opts.sched_seed = 9;
   opts.faults.kill_rank = 1;
   opts.faults.kill_step = 0;
-  try {
-    run_chaotic(p, cm, opts, [&](Communicator& comm) {
-      SmithWaterman app(cs.cfg, cs.grid, comm.rank());
-      app.init();
-      app.fill_scheduled(comm, cs.wopts, SchedOptions{});
-    });
-    FAIL() << "unrecovered kill did not throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("killed"), std::string::npos)
-        << e.what();
+  for (const bool scheduled : {true, false}) {
+    SCOPED_TRACE(scheduled ? "fill_scheduled" : "fill");
+    try {
+      run_chaotic(p, cm, opts, [&](Communicator& comm) {
+        SmithWaterman app(cs.cfg, cs.grid, comm.rank());
+        app.init();
+        if (scheduled) {
+          app.fill_scheduled(comm, cs.wopts, SchedOptions{});
+        } else {
+          app.fill(comm, cs.wopts);
+        }
+      });
+      ADD_FAILURE() << "unrecovered kill did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("killed"), std::string::npos)
+          << e.what();
+    }
   }
+}
+
+// A recovery round that can never finish names each stuck task with the
+// inflows it waits for, as the other deadlock reports do. The fiber engine
+// reports the all-blocked state itself; each rank, unwound by the deadlock
+// poison, rethrows the recovery executor's own report.
+TEST(Recovery, DeadlockNamesStuckTasksWithTheirInflows) {
+  // Each rank waits for a message its peer never sends.
+  RecoveryCoordinator rc([](int rank) {
+    RankProgram prog;
+    TaskGraph::Task t;
+    t.label = "orphan" + std::to_string(rank);
+    t.inflows.push_back({1 - rank, 70 + rank, 1});
+    prog.graph.add(std::move(t));
+    return prog;
+  });
+  EngineConfig ec;
+  ec.kind = EngineKind::kFibers;
+  Machine m(2, CostModel{}, TraceConfig{}, ec);
+  rc.attach(m);
+  std::vector<std::string> reports(2);
+  EXPECT_THROW(m.run([&](Communicator& comm) {
+    try {
+      run_recoverable(comm, rc, {});
+    } catch (const SchedError& e) {
+      reports[static_cast<std::size_t>(comm.rank())] = e.what();
+      throw;
+    }
+  }),
+               EngineError);
+  EXPECT_NE(reports[0].find("scheduler deadlock on rank 0 (recovery "
+                            "executor): stuck on task 'orphan0' (inflow "
+                            "src=1 tag=70)"),
+            std::string::npos)
+      << reports[0];
+  EXPECT_NE(reports[1].find("scheduler deadlock on rank 1 (recovery "
+                            "executor): stuck on task 'orphan1' (inflow "
+                            "src=0 tag=71)"),
+            std::string::npos)
+      << reports[1];
 }
 
 // The same seed WITH recovery completes and matches the oracle — the pair

@@ -190,6 +190,7 @@ TEST(Executor, FifoRunsInInsertionOrder) {
   run_on(1, so, [&](TaskGraph& g, int) {
     for (const char* name : {"a", "b", "c"})
       g.add({.label = name,
+             .inflows = {},
              .run = [&order, name](TaskContext&) { order.push_back(name); }});
   });
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
@@ -203,9 +204,18 @@ TEST(Executor, DiagonalPolicyOrdersByKey) {
     const auto body = [&order](const char* name) {
       return [&order, name](TaskContext&) { order.push_back(name); };
     };
-    g.add({.label = "late", .diagonal = 2, .run = body("late")});
-    g.add({.label = "early", .diagonal = 0, .run = body("early")});
-    g.add({.label = "mid", .diagonal = 1, .run = body("mid")});
+    g.add({.label = "late",
+           .diagonal = 2,
+           .inflows = {},
+           .run = body("late")});
+    g.add({.label = "early",
+           .diagonal = 0,
+           .inflows = {},
+           .run = body("early")});
+    g.add({.label = "mid",
+           .diagonal = 1,
+           .inflows = {},
+           .run = body("mid")});
   });
   EXPECT_EQ(order, (std::vector<std::string>{"early", "mid", "late"}));
 }
@@ -218,10 +228,17 @@ TEST(Executor, CriticalPathPrefersTheLongChain) {
       const auto body = [&order](const char* name) {
         return [&order, name](TaskContext&) { order.push_back(name); };
       };
-      const TaskId y = g.add({.label = "y", .cost = 1.0, .run = body("y")});
+      const TaskId y = g.add(
+          {.label = "y", .cost = 1.0, .inflows = {}, .run = body("y")});
       (void)y;
-      const TaskId x1 = g.add({.label = "x1", .cost = 10.0, .run = body("x1")});
-      const TaskId x2 = g.add({.label = "x2", .cost = 10.0, .run = body("x2")});
+      const TaskId x1 = g.add({.label = "x1",
+                                .cost = 10.0,
+                                .inflows = {},
+                                .run = body("x1")});
+      const TaskId x2 = g.add({.label = "x2",
+                                .cost = 10.0,
+                                .inflows = {},
+                                .run = body("x2")});
       g.add_edge(x1, x2);
     };
   };
@@ -267,7 +284,7 @@ TEST(Executor, InflowAndSendsMoveDataBetweenRanks) {
     Machine::run(2, {}, [&](Communicator& comm) {
       TaskGraph g;
       if (comm.rank() == 0) {
-        g.add({.label = "tx", .run = [](TaskContext& ctx) {
+        g.add({.label = "tx", .inflows = {}, .run = [](TaskContext& ctx) {
                  const double payload[3] = {2.0, 3.0, 5.0};
                  ctx.send(1, std::span<const double>(payload), 7);
                }});

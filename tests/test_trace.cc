@@ -122,11 +122,11 @@ TEST(Tracer, EventTypesCoverTheSweep) {
   // The executor sends through the request layer, so the sweep shows
   // send-post / send-wait-or-complete events rather than blocking kSend.
   const auto res = pipelined_sweep(costs(30, 1), tracing());
-  bool saw_tile = false, saw_post = false, saw_send_done = false,
+  bool saw_task = false, saw_post = false, saw_send_done = false,
        saw_wait = false, saw_compute = false;
   for (const auto& t : res.traces) {
     for (const auto& e : t.events) {
-      saw_tile = saw_tile || e.type == TraceEventType::kTile;
+      saw_task = saw_task || e.type == TraceEventType::kTask;
       saw_post = saw_post || e.type == TraceEventType::kSendPost;
       saw_send_done = saw_send_done || e.type == TraceEventType::kSendWait ||
                       e.type == TraceEventType::kSendComplete;
@@ -135,7 +135,7 @@ TEST(Tracer, EventTypesCoverTheSweep) {
       EXPECT_GE(e.t1, e.t0);
     }
   }
-  EXPECT_TRUE(saw_tile);
+  EXPECT_TRUE(saw_task);
   EXPECT_TRUE(saw_post);
   EXPECT_TRUE(saw_send_done);
   EXPECT_TRUE(saw_wait);
@@ -143,7 +143,8 @@ TEST(Tracer, EventTypesCoverTheSweep) {
 }
 
 TEST(Tracer, TileEventsMatchTheReportedTiling) {
-  // 2 ranks, interior extent 32, block 4 => 8 tiles on each rank.
+  // 2 ranks, interior extent 32, block 4 => 8 tiles on each rank, each
+  // one task event.
   const ProcGrid<2> grid = ProcGrid<2>::along_dim(2, 0);
   const auto res =
       Machine::run(2, costs(10, 1), tracing(), [&](Communicator& comm) {
@@ -158,7 +159,7 @@ TEST(Tracer, TileEventsMatchTheReportedTiling) {
   for (const auto& t : res.traces) {
     int tiles = 0;
     for (const auto& e : t.events)
-      if (e.type == TraceEventType::kTile) ++tiles;
+      if (e.type == TraceEventType::kTask) ++tiles;
     EXPECT_EQ(tiles, 8) << "rank " << t.rank;
   }
 }
@@ -229,8 +230,8 @@ TEST(ChromeExport, EmitsLoadableTraceEventJson) {
     EXPECT_NE(json.find("\"name\":\"rank " + std::to_string(r) + "\""),
               std::string::npos);
   }
-  // Complete slices for tiles, send posts, with durations.
-  EXPECT_NE(json.find("\"name\":\"tile\""), std::string::npos);
+  // Complete slices for tile tasks, send posts, with durations.
+  EXPECT_NE(json.find("\"name\":\"task\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"send-post\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
@@ -418,11 +419,11 @@ RunResult traced_sweep_on(EngineKind kind) {
   });
 }
 
-// Container events (tile, statement) span their inner events and are
+// Container events (task, statement) span their inner events and are
 // recorded *after* them, so their t0 rewinds; every other event type must
 // appear in non-decreasing virtual-time order within its rank.
 bool is_container(const std::string& name) {
-  return name == "tile" || name == "statement";
+  return name == "task" || name == "statement";
 }
 
 TEST(ChromeExport, ParsesAsStrictJsonWithSoundEventsOnBothEngines) {
