@@ -83,6 +83,7 @@ class AltSweep {
   const Layout<2>& layout() const { return layout_; }
   const Region<2>& interior() const { return interior_; }
   Coord wave_elements() const { return interior_.size(); }
+  const WavefrontPlan<2>& vertical_plan() const { return vplan_; }
 
  private:
   void vertical_pipelined(Communicator& comm, const WaveOptions& opts);

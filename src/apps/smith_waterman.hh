@@ -92,6 +92,7 @@ class SmithWaterman {
 
   /// Uniprocessor entry points (1x1 grid).
   void fill_fused() { run_serial(plan_); }
+  const WavefrontPlan<2>& plan() const { return plan_; }
   void fill_unfused() { run_unfused(plan_); }
 
   /// Plain-loop reference DP over the full problem (any rank; no comm).

@@ -52,6 +52,7 @@ class Sor {
 
   /// Uniprocessor cache-study entry points (1x1 grid).
   void sweep_fused() { run_serial(plan_); }
+  const WavefrontPlan<2>& plan() const { return plan_; }
   void sweep_unfused() { run_unfused(plan_); }
 
  private:

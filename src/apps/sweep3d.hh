@@ -115,15 +115,15 @@ class Sweep3d {
   /// Uniprocessor entry points (1x1x1 grid).
   void octant_fused(int octant) { run_serial(plan_of(octant, 0)); }
   void octant_unfused(int octant) { run_unfused(plan_of(octant, 0)); }
-
- private:
-  WavefrontPlan<3> compile_octant(DenseArray<Real, 3>& phi, int octant,
-                                  const Ordinate& ord);
   const WavefrontPlan<3>& plan_of(int octant, int angle) const {
     return plans_[static_cast<std::size_t>(octant) *
                       static_cast<std::size_t>(cfg_.angles) +
                   static_cast<std::size_t>(angle)];
   }
+
+ private:
+  WavefrontPlan<3> compile_octant(DenseArray<Real, 3>& phi, int octant,
+                                  const Ordinate& ord);
   const TagRange& sweep_tags(int octant, int angle) const {
     return sweep_tags_[static_cast<std::size_t>(octant) *
                            static_cast<std::size_t>(cfg_.angles) +

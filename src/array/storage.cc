@@ -1,5 +1,6 @@
 #include "array/storage.hh"
 
+#include <cstdint>
 #include <mutex>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -19,9 +20,40 @@ namespace wavepipe {
 namespace {
 
 struct Block {
-  void* p;
+  void* p;  // as acquire_storage returned it
   std::size_t bytes;
 };
+
+// A fresh recyclable block starts kStaggerStep * (n mod kPage / kStaggerStep)
+// bytes into a page-aligned allocation, n counting fresh blocks. Arrays of
+// one shape then start at different offsets within a page, so a load from
+// one does not falsely wait on a recent store to another at the same index:
+// the CPU matches loads against pending stores by their low 12 address bits
+// first (4K aliasing). The offset is below kPage, so the page that holds the
+// start is the allocation's own.
+constexpr std::size_t kPage = 4096;
+constexpr std::size_t kStaggerStep = 64;
+
+char* allocation_of(const Block& b) {
+  return reinterpret_cast<char*>(reinterpret_cast<std::uintptr_t>(b.p) &
+                                 ~std::uintptr_t{kPage - 1});
+}
+
+[[maybe_unused]] std::size_t allocated_bytes(const Block& b) {
+  return static_cast<std::size_t>(static_cast<char*>(b.p) - allocation_of(b)) +
+         b.bytes;
+}
+
+void* allocate_staggered(std::size_t bytes, std::uint64_t n) {
+  const std::size_t offset = kStaggerStep * (n % (kPage / kStaggerStep));
+  return static_cast<char*>(
+             ::operator new(offset + bytes, std::align_val_t{kPage})) +
+         offset;
+}
+
+void free_staggered(const Block& b) {
+  ::operator delete(allocation_of(b), std::align_val_t{kPage});
+}
 
 struct RecycleCache {
   std::mutex mu;
@@ -37,22 +69,23 @@ RecycleCache& cache() {
   return *c;
 }
 
+// The whole allocation, stagger included.
 void poison([[maybe_unused]] const Block& b) {
 #ifdef WAVEPIPE_ASAN
-  ASAN_POISON_MEMORY_REGION(b.p, b.bytes);
+  ASAN_POISON_MEMORY_REGION(allocation_of(b), allocated_bytes(b));
 #endif
 }
 
 void unpoison([[maybe_unused]] const Block& b) {
 #ifdef WAVEPIPE_ASAN
-  ASAN_UNPOISON_MEMORY_REGION(b.p, b.bytes);
+  ASAN_UNPOISON_MEMORY_REGION(allocation_of(b), allocated_bytes(b));
 #endif
 }
 
 void free_blocks(const std::vector<Block>& blocks) {
   for (const Block& b : blocks) {
     unpoison(b);
-    ::operator delete(b.p);
+    free_staggered(b);
   }
 }
 
@@ -61,6 +94,7 @@ void free_blocks(const std::vector<Block>& blocks) {
 void* acquire_storage(std::size_t bytes) {
   if (bytes < kRecycleMinBytes) return ::operator new(bytes);
   std::vector<Block> stale;
+  std::uint64_t n = 0;
   {
     RecycleCache& c = cache();
     std::lock_guard<std::mutex> lock(c.mu);
@@ -75,11 +109,11 @@ void* acquire_storage(std::size_t bytes) {
       unpoison(b);
       return b.p;
     }
-    ++c.misses;
+    n = c.misses++;
     stale.swap(c.parked);
   }
   free_blocks(stale);
-  return ::operator new(bytes);
+  return allocate_staggered(bytes, n);
 }
 
 void release_storage(void* p, std::size_t bytes) noexcept {
@@ -95,7 +129,7 @@ void release_storage(void* p, std::size_t bytes) noexcept {
     c.parked.push_back(b);
   } catch (...) {
     unpoison(b);  // no room to park it: free it instead
-    ::operator delete(p);
+    free_staggered(b);
   }
 }
 

@@ -13,8 +13,12 @@
 //     first frees every parked block: at most one size generation stays
 //     resident, and the cache never holds more blocks of a size than were
 //     live at once.
-// Under AddressSanitizer parked blocks are poisoned, so a use after free
-// is still reported.
+// A fresh recyclable block also starts at its own multiple of 64 B within
+// a page (cycling through all 64 of them), so equal-sized arrays do not
+// share their low 12 address bits and loads from one do not falsely wait on
+// stores to another (4K aliasing). A recycled block keeps its address.
+// Under AddressSanitizer parked blocks are poisoned, stagger included, so a
+// use after free is still reported.
 #pragma once
 
 #include <cstddef>

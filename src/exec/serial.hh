@@ -26,9 +26,24 @@ void validate_coverage(const WavefrontPlan<R>& plan, const Region<R>& region) {
 /// Runs the plan's statements over `sub` as one fused loop nest in the
 /// derived loop order. `sub` must be contained in the plan's region (tiles,
 /// local portions) — dependence legality was established for the whole
-/// region and is inherited by sub-regions processed in wave order.
+/// region and is inherited by sub-regions processed in wave order. A plan
+/// with a lane dimension runs kLanes pencils at once, kLaneSpacing slices
+/// apart in a wide enough tile: lanes whose addresses differ by a small
+/// multiple of 4 KiB would alias the stores of their neighbours a few
+/// indices back, and stall on them (DESIGN.md §4).
 template <Rank R>
 void run_serial_on(const WavefrontPlan<R>& plan, const Region<R>& sub) {
+  if (plan.lane_dim) {
+    iterate_lane_groups(
+        sub, plan.loops, *plan.lane_dim, static_cast<Coord>(kLanes),
+        kLaneSpacing,
+        [&plan](const Idx<R>& i, Rank inner, Coord step, Coord count,
+                Coord spacing) {
+          plan.fused_lanes(i, inner, step, count, *plan.lane_dim, spacing);
+        },
+        plan.fused_pencil);
+    return;
+  }
   if (plan.fused_pencil) {
     iterate_pencils(sub, plan.loops, plan.fused_pencil);
     return;
@@ -84,7 +99,7 @@ void apply_statement(const Region<E::rank>& region,
                   [&](const Idx<R>& i, Rank inner, Coord step, Coord count) {
                     const auto rhs = spec.expr.bind(i, inner, step);
                     for (Coord k = 0; k < count; ++k)
-                      pos[k] = rhs(k, kNothingStored);
+                      pos[k] = rhs(k, kNothingStored, kNothingStored);
                     pos += count;
                   });
   pos = tmp.data();  // the same storage order again

@@ -8,6 +8,7 @@
 // visit order walk them in storage order (contiguous dimension innermost).
 #pragma once
 
+#include <algorithm>
 #include <array>
 
 #include "index/region.hh"
@@ -79,6 +80,38 @@ void iterate_pencils(const Region<R>& region, const LoopStructure<R>& ls,
       idx.v[d] = ls.step[d] > 0 ? region.lo(d) : region.hi(d);
     }
     if (done) break;
+  }
+}
+
+/// iterate_pencils for a kernel that runs `lanes` pencils at once, side by
+/// side along `lane_dim` (an outer dimension). The caller guarantees that no
+/// slice of `region` along `lane_dim` depends on another, so the slices may
+/// be visited in any order; the pencils of each slice keep the structure's
+/// order. The slices are cut into chunks of `lanes * spacing`, and a chunk
+/// of width w runs as groups of pencils w / lanes slices apart:
+/// `fn_lanes(start, inner, step, count, s)` runs the pencil at `start` and
+/// those s, 2s, ... slices further on. The slices a chunk has left over
+/// (fewer than `lanes`) go one pencil at a time to `fn_single`, with
+/// iterate_pencils' arguments.
+template <Rank R, typename Lanes, typename Single>
+void iterate_lane_groups(const Region<R>& region, const LoopStructure<R>& ls,
+                         Rank lane_dim, Coord lanes, Coord spacing,
+                         Lanes&& fn_lanes, Single&& fn_single) {
+  if (region.empty()) return;
+  const Coord lo = region.lo(lane_dim), hi = region.hi(lane_dim);
+  for (Coord c = lo; c <= hi; c += lanes * spacing) {
+    const Coord width = std::min(lanes * spacing, hi - c + 1);
+    const Coord s = width / lanes;
+    for (Coord j = 0; j < width; ++j) {
+      const Region<R> slice = region.with_dim(lane_dim, c + j, c + j);
+      if (j < s)
+        iterate_pencils(slice, ls, [&](const Idx<R>& i, Rank inner,
+                                       Coord step, Coord count) {
+          fn_lanes(i, inner, step, count, s);
+        });
+      else if (j >= lanes * s)
+        iterate_pencils(slice, ls, fn_single);
+    }
   }
 }
 

@@ -16,18 +16,25 @@
 //
 // Every node evaluates two ways. eval(i) resolves one global index — the
 // per-index reference. bind(start, inner, step) resolves the node once per
-// pencil to a Cursor c, and c(k, stored) is the node's value at
+// pencil to a Cursor c, and c(k, now, prev) is the node's value at
 // start + k*step along dimension `inner`: an array reference becomes a
 // base pointer plus a stride, and interior nodes compose their children's
-// cursors. Along a recurrence, the fused pencil passes in `stored` the
-// values the earlier statements just stored at the same index, and a
-// reference linked to one of those stores takes the value from there
+// cursors. Bound with a lane dimension and a spacing, the same cursor
+// walks kLanes pencils side by side, that many slices apart along it, and
+// evaluated on Lanes<L> values it yields one value per pencil, each by the
+// scalar operations. Cursor evaluation is always inlined: left to the
+// optimizer, a large translation unit outlines some nodes, and each call
+// then returns its lanes through memory. Along a recurrence, the fused
+// pencil passes in `now` the values the earlier statements just stored at
+// the same index and in `prev` what every statement stored one index back,
+// and a reference linked to one of those stores takes the value from there
 // instead of reloading it. Both ways apply the same operations in the same
 // order, so they agree bit for bit.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 
@@ -35,11 +42,105 @@
 
 namespace wavepipe {
 
-/// The values the statements before the current one stored at the current
-/// pencil index, in statement order (none outside a fused pencil).
-template <std::size_t J>
-using Stored = std::array<Real, J>;
+/// One value per pencil of the lane kernel.
+template <std::size_t L>
+using Lanes = std::array<Real, L>;
+
+/// Values statements of a fused pencil stored, in statement order: at the
+/// current index, those of the statements before the current one; one
+/// index back, those of every statement (none outside a fused pencil, and
+/// none one index back at a pencil's first index). V is Real on one pencil
+/// and Lanes<L> on L of them.
+template <std::size_t J, typename V = Real>
+using Stored = std::array<V, J>;
 inline constexpr Stored<0> kNothingStored{};
+
+/// stored[i] for a run-time i < J, indexed by constants so the values stay
+/// in registers.
+template <typename V, std::size_t J, std::size_t... I>
+[[gnu::always_inline]] inline V pick(const Stored<J, V>& stored, int i,
+                                     std::index_sequence<I...>) {
+  V x = stored[0];
+  ((i == static_cast<int>(I) ? (void)(x = stored[I]) : (void)0), ...);
+  return x;
+}
+
+// The lane helpers below spell the lanes out through index sequences in
+// always-inlined functions, not loops or lambdas: the optimizer neither
+// unrolls a short loop nor inlines a lambda reliably, and either leaves the
+// lanes in memory.
+namespace detail {
+
+template <typename Op, std::size_t l, typename... Vs>
+[[gnu::always_inline]] inline Real apply_lane(const Vs&... v) {
+  return Op::apply(v[l]...);
+}
+
+template <typename Op, typename V, std::size_t... l, typename... Vs>
+[[gnu::always_inline]] inline V lanewise(std::index_sequence<l...>,
+                                         const Vs&... v) {
+  return V{apply_lane<Op, l>(v...)...};
+}
+
+template <typename V, std::size_t... l>
+[[gnu::always_inline]] inline V load_lanes(std::index_sequence<l...>,
+                                           const Real* p, Coord lane) {
+  return V{p[static_cast<Coord>(l) * lane]...};
+}
+
+template <typename V, std::size_t... l>
+[[gnu::always_inline]] inline void store_lanes(std::index_sequence<l...>,
+                                               Real* p, Coord lane,
+                                               const V& x) {
+  ((p[static_cast<Coord>(l) * lane] = x[l]), ...);
+}
+
+template <typename V, std::size_t... l>
+[[gnu::always_inline]] inline V splat(std::index_sequence<l...>, Real v) {
+  return V{(static_cast<void>(l), v)...};
+}
+
+template <typename V>
+using lane_indices = std::make_index_sequence<std::tuple_size_v<V>>;
+
+}  // namespace detail
+
+/// Op applied to the value on one pencil, or to each lane in turn.
+template <typename Op, typename V, typename... Vs>
+[[gnu::always_inline]] inline V lanewise(const V& a, const Vs&... b) {
+  if constexpr (std::is_same_v<V, Real>)
+    return Op::apply(a, b...);
+  else
+    return detail::lanewise<Op, V>(detail::lane_indices<V>{}, a, b...);
+}
+
+/// *p on one pencil; on lanes, the same element of each, `lane` elements
+/// apart.
+template <typename V>
+[[gnu::always_inline]] inline V load_lanes(const Real* p, Coord lane) {
+  if constexpr (std::is_same_v<V, Real>)
+    return *p;
+  else
+    return detail::load_lanes<V>(detail::lane_indices<V>{}, p, lane);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store_lanes(Real* p, Coord lane,
+                                               const V& x) {
+  if constexpr (std::is_same_v<V, Real>)
+    *p = x;
+  else
+    detail::store_lanes(detail::lane_indices<V>{}, p, lane, x);
+}
+
+/// v on one pencil, or in every lane.
+template <typename V>
+[[gnu::always_inline]] inline V splat(Real v) {
+  if constexpr (std::is_same_v<V, Real>)
+    return v;
+  else
+    return detail::splat<V>(detail::lane_indices<V>{}, v);
+}
 
 // ---------------------------------------------------------------------------
 // Leaf nodes
@@ -69,32 +170,42 @@ class ArrayRef {
   struct Cursor {
     const Real* base;
     Coord stride;
+    Coord lane;  // elements from one lane's pencil to the next
     /// The earlier statement whose store at the same index this reads, or
     /// -1 (read memory).
     int from = -1;
+    /// The statement whose store one index back this reads, or -1.
+    int back = -1;
 
-    template <std::size_t J>
-    Real operator()(Coord k, const Stored<J>& stored) const {
+    template <typename V, std::size_t J, std::size_t P>
+    [[gnu::always_inline]] V operator()(Coord k, const Stored<J, V>& now,
+                                        const Stored<P, V>& prev) const {
       if constexpr (J > 0)
-        if (from >= 0) return pick(stored, std::make_index_sequence<J>{});
-      return base[k * stride];
+        if (from >= 0) return pick(now, from, std::make_index_sequence<J>{});
+      if constexpr (P > 0)
+        if (back >= 0) return pick(prev, back, std::make_index_sequence<P>{});
+      return load_lanes<V>(base + k * stride, lane);
     }
-    /// Called for each earlier statement in order, so the last one storing
-    /// to this location wins.
-    void link(const Real* out, Coord out_stride, int statement) {
-      if (base == out && stride == out_stride) from = statement;
-    }
-
-    /// stored[from], indexed by constants so the values stay in registers.
-    template <std::size_t J, std::size_t... I>
-    Real pick(const Stored<J>& stored, std::index_sequence<I...>) const {
-      Real x = stored[0];
-      ((from == static_cast<int>(I) ? (void)(x = stored[I]) : (void)0), ...);
-      return x;
+    /// Called for each statement in order, so the last one storing to this
+    /// location wins. `earlier`: the statement runs before this read at the
+    /// same index. Element k of this reference is element k - 1 of a store
+    /// that starts one stride further on; the addresses are compared as
+    /// integers, since the two need not point into one array.
+    void link(const Real* out, Coord out_stride, int statement, bool earlier) {
+      if (stride != out_stride) return;
+      if (earlier && base == out) from = statement;
+      const auto addr = [](const Real* p) {
+        return static_cast<std::intptr_t>(reinterpret_cast<std::uintptr_t>(p));
+      };
+      if (addr(out) - addr(base) ==
+          stride * static_cast<std::intptr_t>(sizeof(Real)))
+        back = statement;
     }
   };
-  Cursor bind(const Idx<R>& start, Rank inner, Coord step) const {
-    return {&(*a_)(start + dir_), step * a_->stride(inner)};
+  Cursor bind(const Idx<R>& start, Rank inner, Coord step, Rank lane_dim = 0,
+              Coord spacing = 0) const {
+    return {&(*a_)(start + dir_), step * a_->stride(inner),
+            spacing * a_->stride(lane_dim)};
   }
 
   void collect(std::vector<Access<R>>& out) const {
@@ -117,11 +228,16 @@ class ScalarExpr {
 
   struct Cursor {
     Real v;
-    template <std::size_t J>
-    Real operator()(Coord, const Stored<J>&) const { return v; }
-    void link(const Real*, Coord, int) {}
+    template <typename V, std::size_t J, std::size_t P>
+    [[gnu::always_inline]] V operator()(Coord, const Stored<J, V>&,
+                                        const Stored<P, V>&) const {
+      return splat<V>(v);
+    }
+    void link(const Real*, Coord, int, bool) {}
   };
-  Cursor bind(const Idx<R>&, Rank, Coord) const { return {v_}; }
+  Cursor bind(const Idx<R>&, Rank, Coord, Rank = 0, Coord = 0) const {
+    return {v_};
+  }
 
   void collect(std::vector<Access<R>>&) const {}
 
@@ -212,17 +328,20 @@ class BinExpr {
   struct Cursor {
     typename L::Cursor l;
     typename Rt::Cursor r;
-    template <std::size_t J>
-    Real operator()(Coord k, const Stored<J>& s) const {
-      return Op::apply(l(k, s), r(k, s));
+    template <typename V, std::size_t J, std::size_t P>
+    [[gnu::always_inline]] V operator()(Coord k, const Stored<J, V>& s,
+                                        const Stored<P, V>& p) const {
+      return lanewise<Op>(l(k, s, p), r(k, s, p));
     }
-    void link(const Real* out, Coord stride, int statement) {
-      l.link(out, stride, statement);
-      r.link(out, stride, statement);
+    void link(const Real* out, Coord stride, int statement, bool earlier) {
+      l.link(out, stride, statement, earlier);
+      r.link(out, stride, statement, earlier);
     }
   };
-  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
-    return {l_.bind(start, inner, step), r_.bind(start, inner, step)};
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step,
+              Rank lane_dim = 0, Coord spacing = 0) const {
+    return {l_.bind(start, inner, step, lane_dim, spacing),
+            r_.bind(start, inner, step, lane_dim, spacing)};
   }
 
   void collect(std::vector<Access<rank>>& out) const {
@@ -246,16 +365,18 @@ class UnExpr {
 
   struct Cursor {
     typename E::Cursor e;
-    template <std::size_t J>
-    Real operator()(Coord k, const Stored<J>& s) const {
-      return Op::apply(e(k, s));
+    template <typename V, std::size_t J, std::size_t P>
+    [[gnu::always_inline]] V operator()(Coord k, const Stored<J, V>& s,
+                                        const Stored<P, V>& p) const {
+      return lanewise<Op>(e(k, s, p));
     }
-    void link(const Real* out, Coord stride, int statement) {
-      e.link(out, stride, statement);
+    void link(const Real* out, Coord stride, int statement, bool earlier) {
+      e.link(out, stride, statement, earlier);
     }
   };
-  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
-    return {e_.bind(start, inner, step)};
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step,
+              Rank lane_dim = 0, Coord spacing = 0) const {
+    return {e_.bind(start, inner, step, lane_dim, spacing)};
   }
 
   void collect(std::vector<Access<rank>>& out) const { e_.collect(out); }
@@ -275,6 +396,9 @@ struct Neg { static Real apply(Real a) { return -a; } };
 struct Abs { static Real apply(Real a) { return a < 0 ? -a : a; } };
 struct Sqrt { static Real apply(Real a) { return std::sqrt(a); } };
 struct Exp { static Real apply(Real a) { return std::exp(a); } };
+struct Select {
+  static Real apply(Real c, Real a, Real b) { return c > 0.0 ? a : b; }
+};
 }  // namespace ops
 
 // ---------------------------------------------------------------------------
@@ -362,19 +486,27 @@ class SelectExpr {
     typename C::Cursor c;
     typename L::Cursor l;
     typename Rt::Cursor r;
-    template <std::size_t J>
-    Real operator()(Coord k, const Stored<J>& s) const {
-      return c(k, s) > 0.0 ? l(k, s) : r(k, s);
+    /// On lanes both sides are evaluated, and each lane keeps its own.
+    template <typename V, std::size_t J, std::size_t P>
+    [[gnu::always_inline]] V operator()(Coord k, const Stored<J, V>& s,
+                                        const Stored<P, V>& p) const {
+      if constexpr (std::is_same_v<V, Real>) {
+        return c(k, s, p) > 0.0 ? l(k, s, p) : r(k, s, p);
+      } else {
+        return lanewise<ops::Select>(c(k, s, p), l(k, s, p), r(k, s, p));
+      }
     }
-    void link(const Real* out, Coord stride, int statement) {
-      c.link(out, stride, statement);
-      l.link(out, stride, statement);
-      r.link(out, stride, statement);
+    void link(const Real* out, Coord stride, int statement, bool earlier) {
+      c.link(out, stride, statement, earlier);
+      l.link(out, stride, statement, earlier);
+      r.link(out, stride, statement, earlier);
     }
   };
-  Cursor bind(const Idx<rank>& start, Rank inner, Coord step) const {
-    return {c_.bind(start, inner, step), l_.bind(start, inner, step),
-            r_.bind(start, inner, step)};
+  Cursor bind(const Idx<rank>& start, Rank inner, Coord step,
+              Rank lane_dim = 0, Coord spacing = 0) const {
+    return {c_.bind(start, inner, step, lane_dim, spacing),
+            l_.bind(start, inner, step, lane_dim, spacing),
+            r_.bind(start, inner, step, lane_dim, spacing)};
   }
 
   void collect(std::vector<Access<rank>>& out) const {

@@ -53,6 +53,14 @@ struct WavefrontPlan {
   /// fall back to per-index Statement::eval_at calls when absent.
   std::function<void(Idx<R> start, Rank inner, Coord step, Coord count)>
       fused_pencil;
+  /// The same, over kLanes pencils at once: the one at `start` and those
+  /// `spacing`, 2 * `spacing`, ... slices further along `lane_dim`.
+  std::function<void(Idx<R> start, Rank inner, Coord step, Coord count,
+                     Rank lane_dim, Coord spacing)>
+      fused_lanes;
+  /// The dimension the lane kernel runs pencils side by side along, when
+  /// the plan has one (see ScanBlock::compile).
+  std::optional<Rank> lane_dim;
 
   Wsv<R> wsv{};
   WsvAnalysis<R> analysis{};
@@ -113,6 +121,7 @@ struct WavefrontPlan {
     for (Rank level = 0; level < R; ++level)
       os << " dim" << loops.order[level]
          << (loops.step[loops.order[level]] > 0 ? " asc" : " desc");
+    if (lane_dim) os << "\n  lanes along dim" << *lane_dim;
     os << "\n  arrays:";
     for (const auto& u : arrays) {
       os << " " << u.name() << (u.written ? "[w" : "[r")

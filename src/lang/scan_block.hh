@@ -52,6 +52,12 @@ class ScanBlock {
     fused_pencil_ = std::move(fused);
   }
 
+  /// Installs the fused lane kernel (set by the scan(...) builder).
+  void set_fused_lanes(
+      std::function<void(Idx<R>, Rank, Coord, Coord, Rank, Coord)> lanes) {
+    fused_lanes_ = std::move(lanes);
+  }
+
   std::size_t size() const { return statements_.size(); }
   const Region<R>& region() const { return region_; }
 
@@ -132,6 +138,10 @@ class ScanBlock {
           "dependences of the primed references (legality condition ii)");
     }
     plan.loops = *loops;
+    if (fused_pencil_ && fused_lanes_) {
+      plan.fused_lanes = fused_lanes_;
+      plan.lane_dim = lane_dimension(plan.loops, written);
+    }
 
     // Halo widths and inflow sizing.
     build_array_uses(plan);
@@ -162,6 +172,33 @@ class ScanBlock {
   }
 
  private:
+  /// The dimension whose slices the lane kernel may run side by side, if
+  /// any. No read of a written array may be shifted along it, primed or
+  /// not: then no slice reads what another writes, and the slices may run
+  /// in any interleaving. It must not be the pencil's inner dimension, and
+  /// some primed read must be shifted along that one: lanes hide the
+  /// latency of a recurrence along the pencil, and without one a single
+  /// pencil already streams. The innermost loop level that qualifies wins.
+  std::optional<Rank> lane_dimension(
+      const LoopStructure<R>& loops,
+      const std::set<const void*>& written) const {
+    std::array<bool, R> shifted{};  // a written array is read shifted along d
+    bool recurrent = false;         // a primed read shifts along the pencil
+    const Rank inner = loops.order[R - 1];
+    for (const auto& st : statements_) {
+      for (const auto& acc : st.reads) {
+        recurrent = recurrent || (acc.primed && acc.dir.v[inner] != 0);
+        if (written.count(acc.array->id()) == 0) continue;
+        for (Rank d = 0; d < R; ++d)
+          shifted[d] = shifted[d] || acc.dir.v[d] != 0;
+      }
+    }
+    if (!recurrent) return std::nullopt;
+    for (Rank level = R - 1; level-- > 0;)
+      if (!shifted[loops.order[level]]) return loops.order[level];
+    return std::nullopt;
+  }
+
   void build_array_uses(WavefrontPlan<R>& plan) const {
     auto find_or_add = [&plan](DenseArray<Real, R>* a) -> ArrayUse<R>& {
       for (auto& u : plan.arrays)
@@ -188,6 +225,7 @@ class ScanBlock {
   WavefrontChoice choice_;
   std::vector<Statement<R>> statements_;
   std::function<void(Idx<R>, Rank, Coord, Coord)> fused_pencil_;
+  std::function<void(Idx<R>, Rank, Coord, Coord, Rank, Coord)> fused_lanes_;
 };
 
 /// scan() with an explicit wavefront-dimension choice policy.
@@ -212,6 +250,13 @@ ScanBlock<R> scan_with_choice(const Region<R>& region, WavefrontChoice choice,
       run_pencil_forwarding(count, specs.bind(i, inner, step)...);
     else
       run_pencil(count, specs.bind(i, inner, step)...);
+  });
+  // The same statements over kLanes pencils at once, for plans that
+  // compile() gives a lane dimension.
+  sb.set_fused_lanes([specs...](Idx<R> i, Rank inner, Coord step, Coord count,
+                                Rank lane_dim, Coord spacing) {
+    run_pencil_lanes<kLanes>(
+        count, specs.bind(i, inner, step, lane_dim, spacing)...);
   });
   return sb;
 }

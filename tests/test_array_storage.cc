@@ -95,6 +95,31 @@ TEST(ArrayStorage, ReuseNeedsTheExactSize) {
   EXPECT_EQ(s1.misses - s0.misses, 2u);
 }
 
+// Fresh blocks of one size start at different offsets within a page, so
+// equal-shaped arrays do not alias each other's stores mod 4 KiB; a
+// recycled block keeps its address.
+TEST(ArrayStorage, FreshBlocksStartAtStaggeredPageOffsets) {
+  release_storage_cache();
+  const auto page_offset = [](const Real* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 4096;
+  };
+  const Real* first = nullptr;
+  const Real* second = nullptr;
+  {
+    DenseArray<Real, 1> x = block_of(kRecycleMinBytes);
+    DenseArray<Real, 1> y = block_of(kRecycleMinBytes);
+    first = x.raw().data();
+    second = y.raw().data();
+    EXPECT_NE(page_offset(first), page_offset(second));
+    EXPECT_EQ(page_offset(first) % 64, 0u);
+    EXPECT_EQ(page_offset(second) % 64, 0u);
+  }
+  const std::uint64_t hits = storage_cache_stats().hits;
+  DenseArray<Real, 1> z = block_of(kRecycleMinBytes);
+  EXPECT_EQ(storage_cache_stats().hits - hits, 1u);
+  EXPECT_TRUE(z.raw().data() == first || z.raw().data() == second);
+}
+
 TEST(ArrayStorage, AMissFreesEveryParkedBlock) {
   release_storage_cache();
   const std::size_t a = kRecycleMinBytes, b = 2 * kRecycleMinBytes;
@@ -135,6 +160,10 @@ TEST(ArrayStorage, ParkedBlocksArePoisoned) {
   }
   EXPECT_TRUE(__asan_address_is_poisoned(p));
   EXPECT_TRUE(__asan_address_is_poisoned(p + kRecycleMinBytes / sizeof(Real) - 1));
+  // The stagger in front of the block is part of the parked allocation.
+  const char* page = reinterpret_cast<const char*>(p) -
+                     reinterpret_cast<std::uintptr_t>(p) % 4096;
+  EXPECT_TRUE(__asan_address_is_poisoned(page));
   DenseArray<Real, 1> b = block_of(kRecycleMinBytes);
   ASSERT_EQ(b.raw().data(), p);
   EXPECT_FALSE(__asan_address_is_poisoned(p));

@@ -5,8 +5,8 @@
 // The engine byte-identity tests compare executors against each other, so
 // a rounding change shared by every executor would pass them. These tests
 // compare against the per-index expression evaluation instead: the fused
-// pencil that scan(...) installs, eval_pencil, rhs_pencil and
-// apply_statement, over every op node, shifted and primed references,
+// pencil that scan(...) installs, its lane kernel, eval_pencil, rhs_pencil
+// and apply_statement, over every op node, shifted and primed references,
 // ranks 1-3, both storage orders, ascending and descending steps, every
 // inner dimension (contiguous or not), and tiles whose reads reach the
 // fluff.
@@ -20,6 +20,12 @@
 #include <set>
 #include <vector>
 
+#include "apps/alt_sweep.hh"
+#include "apps/simple_hydro.hh"
+#include "apps/smith_waterman.hh"
+#include "apps/sor.hh"
+#include "apps/sweep3d.hh"
+#include "apps/tomcatv.hh"
 #include "exec/driver.hh"
 #include "exec/serial.hh"
 
@@ -206,6 +212,194 @@ TEST(KernelPencils, FusedAndEvalPencilMatchEvalAtRank2) {
 TEST(KernelPencils, FusedAndEvalPencilMatchEvalAtRank3) {
   check_block_pencils<3>(StorageOrder::kColMajor);
   check_block_pencils<3>(StorageOrder::kRowMajor);
+}
+
+// ---------------------------------------------------------------------------
+// The lane kernel: run_serial_on with a lane dimension, against eval_at.
+
+// Arrays over [0..n+1] in every dimension, with n = kWide along the lane
+// dimension (wide enough for a full chunk of lanes and a narrower one after
+// it) and kN along the others.
+template <Rank R>
+struct LaneWorld {
+  static constexpr Coord kN = R == 2 ? 5 : 3;
+  static constexpr Coord kWide = 2 * static_cast<Coord>(kLanes) * kLaneSpacing;
+
+  LaneWorld(StorageOrder order, Rank lane_dim)
+      : ld(lane_dim),
+        all(Region<R>(Idx<R>{}, extent(lane_dim, 1))),
+        interior(Region<R>(World<R>::filled(1), extent(lane_dim, 0))),
+        a("a", all, order),
+        b("b", all, order),
+        c("c", all, order),
+        x("x", all, order),
+        y("y", all, order),
+        z("z", all, order) {}
+
+  static Idx<R> extent(Rank lane_dim, Coord fluff) {
+    Idx<R> i = World<R>::filled(kN + fluff);
+    i.v[lane_dim] = kWide + fluff;
+    return i;
+  }
+
+  // Every width from 1 to 2 * kLanes + 3 at both ends of the lane
+  // dimension, one full chunk (kLanes lanes kLaneSpacing apart) and one
+  // chunk plus a narrower one, each spanning the other dimensions.
+  std::vector<Region<R>> tiles() const {
+    std::vector<Region<R>> out;
+    for (Coord w = 1; w <= 2 * static_cast<Coord>(kLanes) + 3; ++w) {
+      out.push_back(interior.with_dim(ld, 1, w));
+      out.push_back(interior.with_dim(ld, kWide - w + 1, kWide));
+    }
+    const Coord chunk = static_cast<Coord>(kLanes) * kLaneSpacing;
+    out.push_back(interior.with_dim(ld, 1, chunk));
+    out.push_back(interior.with_dim(ld, 2, chunk + 6));
+    return out;
+  }
+
+  void reset() {
+    int seed = 1;
+    for (DenseArray<Real, R>* arr : arrays()) {
+      for_each(all, [&](const Idx<R>& i) { (*arr)(i) = value<R>(seed, i); });
+      ++seed;
+    }
+  }
+
+  std::vector<DenseArray<Real, R>*> arrays() { return {&a, &b, &c, &x, &y, &z}; }
+
+  std::vector<std::uint64_t> snapshot() {
+    std::vector<std::uint64_t> out;
+    for (DenseArray<Real, R>* arr : arrays())
+      for (Real v : arr->raw()) out.push_back(bits(v));
+    return out;
+  }
+
+  Rank ld;
+  Region<R> all, interior;
+  DenseArray<Real, R> a, b, c, x, y, z;
+};
+
+// A recurrence along `inner`, every op node, and no read of a written array
+// shifted along `ld`. Reads one step back along the pencil: s1 its x,
+// which s4 stores last, s1 a later statement's z, s3 and s4 earlier
+// statements' x and y, and s3 its own z. x and y are also read one step
+// ahead and y at the same index, which are old values in memory. At rank 3
+// written arrays are also read shifted along the third dimension. The
+// unwritten a and c are read shifted along the lanes, into the fluff.
+template <Rank R>
+WavefrontPlan<R> lane_plan(LaneWorld<R>& w, Rank inner) {
+  const Direction<R> e = unit<R>(inner, 1);
+  const Direction<R> f = unit<R>(w.ld, 1);
+  Direction<R> g{};
+  if constexpr (R == 3) g = unit<R>(3 - inner - w.ld, 1);
+  auto s1 = w.x <<= w.a * prime(w.x, -e) + min_e(w.b, at(w.c, f)) -
+                    max_e(at(w.a, -f), 0.25) + 0.5 * w.y + prime(w.z, -e);
+  auto s2 = w.y <<= select_e(w.a - 0.1, -w.x, abs_e(at(w.b, e))) /
+                        (2.0 + sqrt_e(abs_e(w.c))) -
+                    0.25 * w.y + w.z * 0.125 + at(w.x, e) - at(w.z, g);
+  auto s3 = w.z <<= exp_e(0.3 * prime(w.z, -e)) * w.y -
+                    w.x / (1.5 + abs_e(w.y)) + 0.5 * prime(w.x, -e) -
+                    at(w.a, e).at(f) + at(w.y, e);
+  auto s4 = w.x <<= 0.5 * w.x - prime(w.y, -e);
+  return scan(w.interior, s1, s2, s3, s4).compile();
+}
+
+// Every loop structure with `inner` innermost.
+template <Rank R>
+std::vector<LoopStructure<R>> loops_with_inner(Rank inner) {
+  std::vector<LoopStructure<R>> out;
+  for (const LoopStructure<R>& ls : all_loop_structures<R>())
+    if (ls.order[R - 1] == inner) out.push_back(ls);
+  return out;
+}
+
+template <Rank R>
+void check_lane_kernel(StorageOrder order, Rank inner, Rank ld) {
+  LaneWorld<R> w(order, ld);
+  WavefrontPlan<R> plan = lane_plan(w, inner);
+  ASSERT_TRUE(plan.fused_lanes);
+  plan.lane_dim = ld;
+  for (const LoopStructure<R>& ls : loops_with_inner<R>(inner)) {
+    plan.loops = ls;
+    for (const Region<R>& tile : w.tiles()) {
+      SCOPED_TRACE("tile " + to_string(tile) + " inner dim " +
+                   std::to_string(inner) + " step " +
+                   std::to_string(ls.step[inner]) + " lane dim " +
+                   std::to_string(ld));
+      w.reset();
+      run_eval_at(plan, tile, ls, true);
+      const auto want = w.snapshot();
+      w.reset();
+      run_serial_on(plan, tile);
+      ASSERT_EQ(w.snapshot(), want);
+    }
+  }
+}
+
+TEST(KernelPencils, LanesMatchEvalAtRank2) {
+  for (StorageOrder order : {StorageOrder::kColMajor, StorageOrder::kRowMajor}) {
+    check_lane_kernel<2>(order, 0, 1);
+    check_lane_kernel<2>(order, 1, 0);
+  }
+}
+
+TEST(KernelPencils, LanesMatchEvalAtRank3) {
+  for (StorageOrder order : {StorageOrder::kColMajor, StorageOrder::kRowMajor})
+    for (Rank inner = 0; inner < 3; ++inner)
+      for (Rank ld = 0; ld < 3; ++ld)
+        if (ld != inner) check_lane_kernel<3>(order, inner, ld);
+}
+
+// compile() picks the lane dimension: an outer dimension no read of a
+// written array is shifted along, primed or not, when a primed read is
+// shifted along the pencil.
+TEST(KernelPencils, LaneDimensionNeedsUnshiftedWrittenReads) {
+  World<2> w(StorageOrder::kColMajor);  // dimension 0 innermost
+  const Direction<2> south{{1, 0}};
+  // Recurrence along the pencil; only the unwritten a is shifted across.
+  auto lanes = scan(w.interior, w.x <<= prime(w.x, kNorth) * at(w.a, kWest) +
+                                        at(w.a, kEast) - at(w.y, south))
+                   .compile();
+  EXPECT_EQ(lanes.loops.order[1], 0u);
+  ASSERT_TRUE(lanes.lane_dim.has_value());
+  EXPECT_EQ(*lanes.lane_dim, 1u);
+  // A written array read shifted across, unprimed or primed: no lanes.
+  EXPECT_FALSE(scan(w.interior,
+                    w.x <<= prime(w.x, kNorth) + at(w.y, kEast),
+                    w.y <<= w.a * 2.0)
+                   .compile()
+                   .lane_dim);
+  EXPECT_FALSE(
+      scan(w.interior, w.x <<= prime(w.x, kNorth) + prime(w.x, kWest))
+          .compile()
+          .lane_dim);
+  // No recurrence along the pencil: a single pencil already streams.
+  EXPECT_FALSE(scan(w.interior, w.x <<= prime(w.x, kWest) + w.a)
+                   .compile()
+                   .lane_dim);
+}
+
+// The applications: primes in one dimension give lanes across it; primes
+// in every dimension keep the single-pencil path.
+TEST(KernelPencils, ApplicationPlansGetLanesWhereTheyMay) {
+  const ProcGrid<2> one = ProcGrid<2>::along_dim(1, 0);
+  Tomcatv tomcatv(TomcatvConfig{}, one, 0);
+  SimpleHydro simple(SimpleConfig{}, one, 0);
+  AltSweep alt(AltSweepConfig{}, one, 0);
+  for (const WavefrontPlan<2>* plan :
+       {&tomcatv.forward_plan(), &tomcatv.backward_plan(),
+        &simple.forward_plan(), &simple.backward_plan(),
+        &alt.vertical_plan()}) {
+    ASSERT_TRUE(plan->lane_dim.has_value()) << plan->describe();
+    EXPECT_EQ(*plan->lane_dim, 1u);
+  }
+  Sor sor(SorConfig{}, one, 0);
+  SmithWaterman sw(SmithWatermanConfig{}, one, 0);
+  EXPECT_FALSE(sor.plan().lane_dim);
+  EXPECT_FALSE(sw.plan().lane_dim);
+  Sweep3d sweep(Sweep3dConfig{}, ProcGrid<3>::along_dim(1, 0), 0);
+  for (int octant = 0; octant < 8; ++octant)
+    EXPECT_FALSE(sweep.plan_of(octant, 0).lane_dim) << "octant " << octant;
 }
 
 // rhs_pencil writes the right-hand side to a buffer and touches no array.
